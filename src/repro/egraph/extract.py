@@ -1,20 +1,31 @@
 """Minimum-cost term extraction from a saturated e-graph.
 
-Extraction assigns each e-class its cheapest representative by a
-worklist fixpoint: when a class's best cost improves, only the classes
-holding a parent e-node are re-examined.  With a strictly monotonic
-cost function (Definition 2) the fixpoint converges to the true
-minimum per class, and the chosen-node pointers are acyclic so the
-final term can be materialized by walking them.
+Extraction settles every e-class exactly once, cheapest first: Knuth's
+generalization of Dijkstra's algorithm, the bottom-up extraction egg
+uses.  An e-node waits until all of its child classes have settled.
+It is then costed once, with its children's final costs and chosen
+heads, and offers that total to its own class.  Classes settle off a
+heap in ascending cost order.  The cost function is strictly monotonic
+(Definition 2), so a node's total exceeds each child's cost.  By the
+time a class reaches the top of the heap, every node that can achieve
+its minimum has therefore been costed, and the popped cost is final.
+Each e-node is costed at most once; the ``extract`` span reports the
+count as ``n_evals``.
 
-Cost ties are broken *canonically*: a second fixpoint picks, among
-each class's minimum-cost nodes, the one whose materialized term is
-lexicographically least.  The extracted program is therefore a
-function of the e-graph's term sets alone — not of rule application
-order or node insertion order — so two saturations that discover the
-same equalities extract byte-identical programs.  (Strict
-monotonicity makes the equal-cost term set of every class finite,
-which is what guarantees the tie-break fixpoint terminates.)
+Cost ties are broken *canonically* as a class settles: among the nodes
+achieving its minimum, the one whose materialized term is
+lexicographically least wins.  Each settled class gets a *canon key*,
+the nested tuple ``(op, repr(payload), child keys...)`` of its chosen
+term.  Keys nest by reference, so building one is O(arity), and the
+children of a minimum-cost node settled strictly earlier, so their
+keys are final.  The extracted program is thus a function of the
+e-graph's term sets alone, not of rule application order or node
+insertion order: two saturations that discover the same equalities
+extract byte-identical programs.  A node competes only if all of its
+children settled before its class did.  A minimum-cost node can fail
+that only through a zero-cost node, which the callable cost API
+admits; leaving it out keeps the chosen pointers acyclic, so the final
+term is materialized by walking them.
 
 The cost function is *structural*: choosing an e-node costs
 
@@ -29,6 +40,7 @@ of computed lanes is far more expensive than one of loadable leaves
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.egraph.egraph import EGraph
@@ -86,7 +98,7 @@ def _head_cost_fn(cost):
 
 
 class Extractor:
-    """Worklist-based bottom-up extractor over one e-graph."""
+    """Cost-ordered bottom-up extractor over one e-graph."""
 
     def __init__(self, egraph: EGraph, cost):
         self._egraph = egraph
@@ -96,144 +108,94 @@ class Extractor:
         with current_tracer().span(
             "extract", n_nodes=egraph.n_nodes, n_classes=egraph.n_classes
         ) as span:
-            self._solve()
-            span.add(n_solved=len(self._best))
+            n_evals = self._solve()
+            span.add(n_solved=len(self._best), n_evals=n_evals)
 
-    def _solve(self) -> None:
-        egraph = self._egraph
-        best = self._best
-        node_cost = self._node_cost
-        find = egraph.find
+    def _solve(self) -> int:
+        """Settle every extractable class; returns node-cost evaluations.
 
-        # parent map: child class -> classes containing a parent node
-        classes = list(egraph.classes())
-        parents: dict[int, set[int]] = {}
-        for eclass in classes:
-            for _op, _payload, children in eclass.nodes:
-                for child in children:
-                    parents.setdefault(find(child), set()).add(eclass.id)
-
-        worklist = [c.id for c in classes]
-        in_list = set(worklist)
-
-        while worklist:
-            class_id = worklist.pop()
-            in_list.discard(class_id)
-            eclass = egraph.eclass(class_id)
-            entry = best.get(class_id)
-            current = entry[0] if entry is not None else None
-            improved = False
-            for node in eclass.nodes:
-                children = node[2]
-                total = 0.0
-                heads = []
-                ok = True
-                for child in children:
-                    child_entry = best.get(find(child))
-                    if child_entry is None:
-                        ok = False
-                        break
-                    total += child_entry[0]
-                    chosen = child_entry[1]
-                    heads.append((chosen[0], chosen[1]))
-                if not ok:
-                    continue
-                total += node_cost(node[0], node[1], heads)
-                if current is None or total < current:
-                    current = total
-                    best[class_id] = (total, node)
-                    improved = True
-            if improved:
-                for parent in parents.get(class_id, ()):
-                    parent = find(parent)
-                    if parent not in in_list:
-                        worklist.append(parent)
-                        in_list.add(parent)
-
-        self._break_ties(parents)
-
-    def _break_ties(self, parents: dict[int, set[int]]) -> None:
-        """Canonicalize the chosen node of every cost-tied class.
-
-        Second fixpoint over final costs: each class's *canon key* is
-        a nested ``(op, repr(payload), child keys...)`` tuple — the
-        structure of its chosen term — and among nodes achieving the
-        class's minimum cost the lexicographically least key wins.
-        Keys nest by reference, so building one is O(arity); the
-        fixpoint computes the unique least solution, making the chosen
-        term independent of e-graph iteration order.  A cost-tied
-        cyclic choice would need two zero-cost nodes, which strict
-        monotonicity rules out, so the canonical pointers stay acyclic.
+        The per-node tables below are locals, so they are freed as soon
+        as solving ends; only the chosen node per class is kept.
         """
         egraph = self._egraph
-        best = self._best
+        canonicalize = egraph.canonicalize
         node_cost = self._node_cost
-        find = egraph.find
+        best = self._best
 
-        # Initial canon keys from the (acyclic) phase-1 pointers.
+        # Per e-node: the node as stored, its class, its canonical
+        # children, and how many child occurrences are still unsettled.
+        nodes: list[tuple] = []
+        owners: list[int] = []
+        kids: list[tuple[int, ...]] = []
+        waiting: list[int] = []
+        # child class -> nodes waiting on it (one entry per occurrence)
+        users: dict[int, list[int]] = {}
+        ready: list[int] = []
+        for eclass in egraph.classes():
+            for node in eclass.nodes:
+                index = len(nodes)
+                children = canonicalize(node)[2]
+                nodes.append(node)
+                owners.append(eclass.id)
+                kids.append(children)
+                waiting.append(len(children))
+                if not children:
+                    ready.append(index)
+                for child in children:
+                    users.setdefault(child, []).append(index)
+
+        # unsettled class -> (cheapest total so far, nodes achieving it)
+        frontier: dict[int, tuple[float, list[int]]] = {}
+        heap: list[tuple[float, int]] = []
+        # settled class -> canon key of its chosen term
         canon: dict[int, tuple] = {}
-        stack = list(best)
-        while stack:
-            cid = stack[-1]
-            if cid in canon:
-                stack.pop()
-                continue
-            op, payload, children = best[cid][1]
-            missing = [
-                find(c) for c in children if find(c) not in canon
-            ]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            canon[cid] = (op, repr(payload)) + tuple(
-                canon[find(c)] for c in children
-            )
+        n_evals = 0
 
-        worklist = list(best)
-        in_list = set(worklist)
-        while worklist:
-            class_id = worklist.pop()
-            in_list.discard(class_id)
-            entry = best.get(class_id)
-            if entry is None:
-                continue
-            target, chosen = entry
-            current = canon[class_id]
-            improved = False
-            for node in egraph.eclass(class_id).nodes:
-                children = node[2]
+        while True:
+            for index in ready:
+                owner = owners[index]
+                if owner in canon:
+                    continue  # settled before this node's last child
+                node = nodes[index]
                 total = 0.0
                 heads = []
-                keys = []
-                ok = True
-                for child in children:
-                    child_id = find(child)
-                    child_entry = best.get(child_id)
-                    if child_entry is None:
-                        ok = False
-                        break
-                    total += child_entry[0]
-                    chosen_child = child_entry[1]
-                    heads.append((chosen_child[0], chosen_child[1]))
-                    keys.append(canon[child_id])
-                if not ok:
-                    continue
+                for child in kids[index]:
+                    child_cost, chosen = best[child]
+                    total += child_cost
+                    heads.append((chosen[0], chosen[1]))
                 total += node_cost(node[0], node[1], heads)
-                if total != target:
-                    continue
-                key = (node[0], repr(node[1])) + tuple(keys)
-                if key < current:
-                    current = key
-                    canon[class_id] = key
-                    best[class_id] = (target, node)
-                    improved = True
-            if improved:
-                for parent in parents.get(class_id, ()):
-                    parent = find(parent)
-                    if parent not in in_list:
-                        worklist.append(parent)
-                        in_list.add(parent)
+                n_evals += 1
+                entry = frontier.get(owner)
+                if entry is None or total < entry[0]:
+                    frontier[owner] = (total, [index])
+                    heappush(heap, (total, owner))
+                elif total == entry[0]:
+                    entry[1].append(index)
+
+            # Settle the cheapest unsettled class.  Entries for settled
+            # classes are stale offers, superseded by a cheaper one.
+            while heap and heap[0][1] in canon:
+                heappop(heap)
+            if not heap:
+                return n_evals
+            cost, class_id = heappop(heap)
+
+            key = chosen = None
+            for index in frontier.pop(class_id)[1]:
+                node = nodes[index]
+                node_key = (node[0], repr(node[1])) + tuple(
+                    canon[child] for child in kids[index]
+                )
+                if key is None or node_key < key:
+                    key, chosen = node_key, node
+            canon[class_id] = key
+            best[class_id] = (cost, chosen)
+
+            ready = []
+            for index in users.get(class_id, ()):
+                waiting[index] -= 1
+                if not waiting[index]:
+                    ready.append(index)
 
     # -- queries ---------------------------------------------------------
 

@@ -100,6 +100,22 @@ class TestCycles:
         _, term = extractor.best(a)
         assert term == parse("a")
 
+    def test_zero_cost_cycle_ties(self):
+        # The callable cost API admits zero-cost nodes, which break
+        # strict monotonicity: here every class costs 1.0, and the
+        # class of (neg (Get x 0)) also holds a node over a class that
+        # settles after it.  That node is no tie-break candidate, so
+        # the answer stays the finite (neg (Get x 0)).
+        g = EGraph()
+        root = g.add_term(parse("(neg (Get x 0))"))
+        g.union(root, g.add_term(parse("(neg (neg (neg (Get x 0))))")))
+        g.rebuild()
+
+        def cost(op, payload, child_terms):
+            return 0.0 if op == "neg" else 1.0
+
+        assert extract_best(g, root, cost) == (1.0, parse("(neg (Get x 0))"))
+
 
 class TestExtractorObject:
     def test_best_cost_and_term_agree(self):
