@@ -12,8 +12,9 @@ Modules:
 - :mod:`repro.egraph.unionfind` — union-find with path compression;
 - :mod:`repro.egraph.egraph` — e-classes, hashcons, rebuild, and the
   incrementally maintained per-op candidate index;
-- :mod:`repro.egraph.compile_pattern` — patterns compiled to flat
-  instruction programs (egg-style e-matching VM);
+- :mod:`repro.egraph.compile_pattern` — rewrites compiled to flat
+  programs: an egg-style e-matching VM program for the LHS and a
+  postorder instantiation program for the RHS;
 - :mod:`repro.egraph.ematch` — pattern matching over e-classes
   (compiled by default, legacy walk behind ``REPRO_LEGACY_EMATCH``);
 - :mod:`repro.egraph.rewrite` — rewrite rules and application;

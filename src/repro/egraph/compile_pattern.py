@@ -1,4 +1,4 @@
-"""Compiled e-matching: patterns as flat instruction programs.
+"""Compiled rewrites: both sides of a rule as flat programs.
 
 The recursive matcher in :mod:`repro.egraph.ematch` re-interprets the
 pattern *term* on every candidate node: each call re-reads ``.op`` /
@@ -7,7 +7,11 @@ binding.  That interpretation overhead is pure waste — the pattern is
 fixed for the lifetime of a rule — so, in the spirit of egg's
 e-matching virtual machine, we compile each pattern **once** into a
 small program of register-style instructions and run that program
-against e-classes instead.
+against e-classes instead.  The right-hand side compiles once too
+(:func:`compile_rhs`), into a postorder program that reads the
+left-hand side's binding slots, so a match travels from the matcher
+to :meth:`EGraph.instantiate <repro.egraph.egraph.EGraph.instantiate>`
+as a plain slot tuple and never becomes a ``dict``.
 
 Compilation model
 -----------------
@@ -54,9 +58,25 @@ one unit of the shared budget, in both this VM and the legacy matcher,
 so budgets mean the same thing on every path and the two
 implementations produce identical match lists (see the differential
 fuzz test).
+
+Right-hand sides
+----------------
+
+A :class:`CompiledRhs` has two parts.  ``reads`` lists the LHS slots
+the RHS uses, one register each, in first-occurrence order.
+``nodes`` lists e-node templates ``(op, payload, child registers,
+children)`` in postorder, where ``children(regs)`` builds the child-id
+tuple (an ``itemgetter`` from two children up).  Each instantiated
+template's class id lands in the next register, so the last register
+is the RHS root.  A repeated subterm compiles once and its register
+is reused: the second occurrence would only hit the hashcons entry
+the first one made.  A bare-wildcard RHS has no templates and
+answers its one read.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.lang.ops import WILD
 from repro.lang.term import Term
@@ -150,6 +170,82 @@ def compiled_cache_size() -> int:
     return len(_CACHE)
 
 
+class CompiledRhs:
+    """One rewrite right-hand side compiled to a postorder program.
+
+    ``reads`` holds LHS binding-slot indices and ``nodes`` holds
+    ``(op, payload, child registers, children)`` templates; see the
+    module docstring for the register layout.
+    """
+
+    __slots__ = ("reads", "nodes")
+
+    def __init__(self, reads: tuple, nodes: tuple):
+        self.reads = reads
+        self.nodes = nodes
+
+
+def _compile_rhs(slot_names: tuple, rhs: Term) -> CompiledRhs:
+    slot_of = {name: i for i, name in enumerate(slot_names)}
+    reads: list[int] = []
+    register: dict[Term, int] = {}
+
+    def collect(pat: Term) -> None:
+        if pat.op == WILD:
+            if pat not in register:
+                register[pat] = len(reads)
+                reads.append(slot_of[pat.payload])
+            return
+        for a in pat.args:
+            collect(a)
+
+    nodes: list[tuple] = []
+
+    def emit(pat: Term) -> int:
+        reg = register.get(pat)
+        if reg is None:
+            children = tuple(emit(a) for a in pat.args)
+            reg = register[pat] = len(reads) + len(nodes)
+            nodes.append((pat.op, pat.payload, children,
+                          _child_getter(children)))
+        return reg
+
+    collect(rhs)
+    emit(rhs)
+    return CompiledRhs(tuple(reads), tuple(nodes))
+
+
+def _child_getter(registers: tuple):
+    """``regs -> tuple of regs[r] for r in registers``."""
+    if len(registers) >= 2:
+        return itemgetter(*registers)
+    if registers:
+        (reg,) = registers
+        return lambda regs: (regs[reg],)
+    return lambda regs: ()
+
+
+# Keyed by the rule's two (interned) sides: the LHS fixes the slot
+# numbering the RHS program reads.
+_RHS_CACHE: dict[tuple[Term, Term], CompiledRhs] = {}
+
+
+def compile_rhs(lhs: Term, rhs: Term) -> CompiledRhs:
+    """Compile (or fetch) ``rhs`` as read from ``lhs``'s binding slots.
+
+    Slots are numbered as in ``compile_pattern(lhs).slot_names``, so
+    the program consumes the matcher's binding tuples directly.  Every
+    RHS wildcard must occur in ``lhs`` (``KeyError`` otherwise).
+    """
+    key = (lhs, rhs)
+    compiled = _RHS_CACHE.get(key)
+    if compiled is None:
+        compiled = _RHS_CACHE[key] = _compile_rhs(
+            compile_pattern(lhs).slot_names, rhs
+        )
+    return compiled
+
+
 class CompiledMatcher:
     """Runs one compiled program over a (possibly dirty) e-graph.
 
@@ -161,7 +257,7 @@ class CompiledMatcher:
     """
 
     __slots__ = ("_compiled", "_find", "_parent", "_classes", "_cap",
-                 "work")
+                 "_regs", "work")
 
     def __init__(self, compiled: CompiledPattern, egraph, cap: int,
                  work: int):
@@ -173,6 +269,9 @@ class CompiledMatcher:
         self._parent = egraph._uf._parent
         self._classes = egraph._classes
         self._cap = cap
+        # Every instruction writes its registers before reading them,
+        # so one register file serves all matches of this matcher.
+        self._regs = [0] * compiled.n_regs
         self.work = work
 
     @property
@@ -180,17 +279,26 @@ class CompiledMatcher:
         """True once the e-node-visit work budget is spent."""
         return self.work <= 0
 
-    def match_class(self, class_id: int) -> list[dict]:
-        """All bindings of the pattern against ``class_id``."""
+    def match_slots(self, class_id: int) -> list[tuple]:
+        """All bindings against ``class_id``, as slot tuples.
+
+        Tuple ``i`` holds the class bound to ``slot_names[i]``.
+        """
         if self.work <= 0:
             return []
-        compiled = self._compiled
-        regs = [0] * compiled.n_regs
-        regs[0] = self._find(class_id)
-        program = compiled.program
-        states = self._run(program, 0, len(program), [()], regs)
-        names = compiled.slot_names
-        return [dict(zip(names, s)) for s in states]
+        parent = self._parent
+        root = parent[class_id]
+        if root != parent[root]:
+            root = self._find(class_id)
+        regs = self._regs
+        regs[0] = root
+        program = self._compiled.program
+        return self._run(program, 0, len(program), [()], regs)
+
+    def match_class(self, class_id: int) -> list[dict]:
+        """All bindings of the pattern against ``class_id``."""
+        names = self._compiled.slot_names
+        return [dict(zip(names, s)) for s in self.match_slots(class_id)]
 
     def _run(self, program: tuple, pc: int, end: int,
              states: list, regs: list) -> list:

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.egraph.compile_pattern import (
+    CompiledRhs,
+    compile_pattern,
+    compile_rhs,
+)
 from repro.egraph.unionfind import UnionFind
 from repro.lang.term import Term
 
@@ -126,8 +131,15 @@ class EGraph:
     def canonicalize(self, node: ENode) -> ENode:
         """``node`` with every child id replaced by its representative."""
         op, payload, children = node
-        find = self._uf.find
-        new_children = tuple(find(c) for c in children)
+        uf = self._uf
+        parent = uf._parent
+        canon = []
+        for c in children:
+            r = parent[c]
+            if r != parent[r]:
+                r = uf.find(c)
+            canon.append(r)
+        new_children = tuple(canon)
         if new_children == children:
             return node
         return (op, payload, new_children)
@@ -141,6 +153,14 @@ class EGraph:
         existing = self._hashcons.get(node)
         if existing is not None:
             return find(existing)
+        return self._add_new(node)
+
+    def _add_new(self, node: ENode) -> int:
+        """Add canonical ``node``, a hashcons miss, as a new class.
+
+        The miss path :meth:`add_enode` and :meth:`instantiate` share.
+        """
+        find = self._uf.find
         class_id = self._uf.make_set()
         self._n_adds += 1
         self._n_live_nodes += 1
@@ -149,6 +169,7 @@ class EGraph:
         self._classes[class_id] = eclass
         self._hashcons[node] = class_id
         self._touched.add(class_id)
+        op = node[0]
         index = self._op_index.get(op)
         if index is None:
             self._op_index[op] = [class_id]
@@ -240,14 +261,52 @@ class EGraph:
 
     # -- pattern instantiation ----------------------------------------------
 
+    def instantiate(self, rhs: CompiledRhs, binding: tuple) -> int:
+        """Add the compiled ``rhs`` under slot-tuple ``binding``.
+
+        Returns the canonical class of the RHS root.  Each template
+        probes the hashcons once and only a miss allocates.  The graph
+        ends in the state the recursive :meth:`add_enode` walk of the
+        same pattern leaves, down to union-find path compression.
+        """
+        uf = self._uf
+        parent = uf._parent
+        regs = []
+        append = regs.append
+        for slot in rhs.reads:
+            c = binding[slot]
+            # find() without the call when the path is already short.
+            r = parent[c]
+            if r != parent[r]:
+                r = uf.find(c)
+            append(r)
+        nodes = rhs.nodes
+        if not nodes:
+            return regs[0]
+        hashcons = self._hashcons
+        for op, payload, _registers, children in nodes:
+            node = (op, payload, children(regs))
+            c = hashcons.get(node)
+            if c is None:
+                r = self._add_new(node)
+            else:
+                r = parent[c]
+                if r != parent[r]:
+                    r = uf.find(c)
+            append(r)
+        return r
+
     def add_instantiation(self, pattern: Term, binding: dict[str, int]) -> int:
-        """Add ``pattern`` with wildcards bound to e-class ids."""
-        if pattern.op == "Wild":
-            return self._uf.find(binding[pattern.payload])
-        children = tuple(
-            self.add_instantiation(arg, binding) for arg in pattern.args
+        """Add ``pattern`` with wildcards bound to e-class ids.
+
+        The ``dict`` view of :meth:`instantiate`: ``KeyError`` if a
+        wildcard of ``pattern`` is unbound.
+        """
+        names = compile_pattern(pattern).slot_names
+        return self.instantiate(
+            compile_rhs(pattern, pattern),
+            tuple([binding[name] for name in names]),
         )
-        return self.add_enode(pattern.op, pattern.payload, children)
 
     def take_touched(self) -> set[int]:
         """Canonical ids of classes changed since the last call.

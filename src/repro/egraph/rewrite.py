@@ -4,6 +4,14 @@ A :class:`Rewrite` is a directed rule ``lhs ~> rhs`` between patterns.
 Applying it unions every match of ``lhs`` with the instantiated ``rhs``
 — nothing is destroyed, which is what lets equality saturation explore
 all orderings at once (paper §2.1).
+
+Each rule compiles once into its LHS matcher program and a postorder
+RHS program over the LHS binding slots
+(:mod:`repro.egraph.compile_pattern`).  :func:`apply_rewrite` passes
+every match from :func:`~repro.egraph.ematch.ematch_slots` to
+:meth:`EGraph.instantiate <repro.egraph.egraph.EGraph.instantiate>`
+as a slot tuple, and calls ``union`` only when the instantiated class
+differs from the match root's.
 """
 
 from __future__ import annotations
@@ -11,8 +19,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.egraph.compile_pattern import compile_rhs
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import ematch
+from repro.egraph.ematch import DEFAULT_MATCH_WORK, ematch_slots
 from repro.lang.parser import parse, to_sexpr
 from repro.lang.pattern import wildcards_of
 from repro.lang.term import Term
@@ -63,7 +72,9 @@ def parse_rewrite(name: str, text: str) -> Rewrite:
 class ApplyStats:
     """Outcome of applying one rule for one iteration.
 
-    ``n_visits`` (e-nodes scanned while matching) and ``match_time``
+    ``n_matches`` counts the matches found, each of which is
+    instantiated; ``n_visits`` (e-nodes scanned while matching),
+    ``match_time`` and ``apply_time`` (instantiating and unioning)
     feed the runner's :class:`~repro.egraph.runner.SaturationPerf`
     counters.
     """
@@ -72,6 +83,7 @@ class ApplyStats:
     n_unions: int = 0
     n_visits: int = 0
     match_time: float = 0.0
+    apply_time: float = 0.0
 
 
 def apply_rewrite(
@@ -86,14 +98,13 @@ def apply_rewrite(
 
     The e-graph is left dirty; callers batch a ``rebuild`` per
     iteration, as egg does.  ``roots`` restricts match roots
-    (frontier matching).
+    (frontier matching).  Every match is applied, even past
+    ``match_limit`` (see :func:`~repro.egraph.ematch.ematch`).
     """
-    from repro.egraph.ematch import DEFAULT_MATCH_WORK
-
     stats = ApplyStats()
     counters: dict = {}
     t0 = time.perf_counter()
-    matches = ematch(
+    groups = ematch_slots(
         egraph,
         rule.lhs,
         op_index=op_index,
@@ -102,11 +113,28 @@ def apply_rewrite(
         roots=roots,
         counters=counters,
     )
-    stats.match_time = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    stats.match_time = t1 - t0
     stats.n_visits = counters.get("node_visits", 0)
-    stats.n_matches = len(matches)
-    for class_id, binding in matches:
-        rhs_id = egraph.add_instantiation(rule.rhs, binding)
-        if egraph.union(class_id, rhs_id):
-            stats.n_unions += 1
+    rhs = compile_rhs(rule.lhs, rule.rhs)
+    instantiate = egraph.instantiate
+    union = egraph.union
+    uf = egraph._uf
+    find = uf.find
+    parent = uf._parent
+    n_matches = n_unions = 0
+    for root, bindings in groups:
+        n_matches += len(bindings)
+        for binding in bindings:
+            rhs_id = instantiate(rhs, binding)
+            # find(root) without the call when the path is short; a
+            # union of one class with itself would change nothing.
+            r = parent[root]
+            if r != parent[r]:
+                r = find(root)
+            if r != rhs_id and union(root, rhs_id):
+                n_unions += 1
+    stats.n_matches = n_matches
+    stats.n_unions = n_unions
+    stats.apply_time = time.perf_counter() - t1
     return stats

@@ -74,14 +74,18 @@ class SaturationPerf:
     """Lightweight hot-path counters for one saturation run.
 
     ``node_visits`` counts e-nodes scanned by the matcher (the unit the
-    work budget charges); the ``*_time`` fields break the run's wall
-    clock into the three hot paths this engine optimizes.  Per-rule
+    work budget charges) and ``n_matches`` the matches instantiated;
+    the ``*_time`` fields break the run's wall clock into the four hot
+    paths this engine optimizes: matching, the op index, applying
+    matches (instantiate and union) and rebuilding.  Per-rule
     breakdowns identify which rewrites dominate the match bill.
     """
 
     node_visits: int = 0
+    n_matches: int = 0
     match_time: float = 0.0
     index_time: float = 0.0
+    apply_time: float = 0.0
     rebuild_time: float = 0.0
     rule_match_time: dict = field(default_factory=dict)
     rule_node_visits: dict = field(default_factory=dict)
@@ -93,8 +97,10 @@ class SaturationPerf:
     def absorb(self, other: "SaturationPerf") -> None:
         """Accumulate ``other`` into this (for cross-run aggregation)."""
         self.node_visits += other.node_visits
+        self.n_matches += other.n_matches
         self.match_time += other.match_time
         self.index_time += other.index_time
+        self.apply_time += other.apply_time
         self.rebuild_time += other.rebuild_time
         for name, t in other.rule_match_time.items():
             self.rule_match_time[name] = (
@@ -111,8 +117,10 @@ class SaturationPerf:
         """JSON-ready form (for ``BENCH_*.json`` files)."""
         return {
             "node_visits": self.node_visits,
+            "n_matches": self.n_matches,
             "match_time": self.match_time,
             "index_time": self.index_time,
+            "apply_time": self.apply_time,
             "rebuild_time": self.rebuild_time,
             "rule_match_time": dict(self.rule_match_time),
             "rule_node_visits": dict(self.rule_node_visits),
@@ -204,11 +212,14 @@ class RuleScheduler:
 class BackoffScheduler(RuleScheduler):
     """egg's exponential-backoff rule scheduler.
 
-    Each rule has a match threshold.  If an iteration finds more
-    matches than the threshold, the overflowing matches are still
-    applied up to the cap, but the rule is banned for ``ban_length``
-    iterations and its threshold doubles.  Saturation is only declared
-    when no rule is banned (a banned rule might still have work to do).
+    Each rule has a match threshold.  The runner matches with a limit
+    of threshold + 1 and applies *every* match it gets back.  That can
+    be more than the limit, because ``ematch`` checks it only after
+    adding all of one root's bindings (up to one root's worth past
+    it).  If an iteration finds more matches than the threshold, the
+    rule is banned for ``ban_length`` iterations and its threshold
+    doubles.  Saturation is only declared when no rule is banned (a
+    banned rule might still have work to do).
 
     The per-rule base threshold and ban length come from the
     ``_base_limit`` / ``_base_ban_length`` hooks so subclasses (the
@@ -649,7 +660,9 @@ class Runner:
 
 def _record_perf(perf: SaturationPerf, rule_name: str, stats) -> None:
     perf.node_visits += stats.n_visits
+    perf.n_matches += stats.n_matches
     perf.match_time += stats.match_time
+    perf.apply_time += stats.apply_time
     perf.rule_match_time[rule_name] = (
         perf.rule_match_time.get(rule_name, 0.0) + stats.match_time
     )

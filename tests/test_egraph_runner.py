@@ -259,6 +259,63 @@ class TestPerfCounters:
         assert perf.rule_node_visits["comm"] == perf.node_visits
         assert set(perf.rule_match_time) == {"comm"}
 
+    def test_apply_counters(self, monkeypatch):
+        # n_matches is the sum of every application's matches; it is
+        # deterministic and bounds the unions from below.
+        import repro.egraph.runner as runner_module
+
+        rules = [
+            parse_rewrite("comm", "(+ ?a ?b) => (+ ?b ?a)"),
+            parse_rewrite("assoc", "(+ ?a (+ ?b ?c)) => (+ (+ ?a ?b) ?c)"),
+            parse_rewrite("pad", "?a => (* ?a 1)"),
+        ]
+        product_apply = runner_module.apply_rewrite
+
+        def run():
+            applied = []
+
+            def recording_apply(*args, **kwargs):
+                stats = product_apply(*args, **kwargs)
+                applied.append(stats.n_matches)
+                return stats
+
+            monkeypatch.setattr(runner_module, "apply_rewrite",
+                                recording_apply)
+            g = EGraph()
+            g.add_term(parse("(+ a (+ b (+ c d)))"))
+            report = run_saturation(g, rules, RunnerLimits(max_iterations=4))
+            return report.perf, applied
+
+        first, applied = run()
+        second, _ = run()
+        assert first.n_matches == sum(applied) > 0
+        assert second.n_matches == first.n_matches
+        assert first.n_matches >= sum(first.rule_unions.values()) > 0
+        assert first.apply_time > 0.0
+        payload = first.as_dict()
+        assert payload["n_matches"] == first.n_matches
+        assert payload["apply_time"] == first.apply_time
+
+    def test_apply_applies_matches_past_the_limit(self):
+        # Three one-binding roots, then one root holding 21 bindings.
+        # ematch checks the limit only between roots, and the
+        # per-compound cap (= limit) bounds what that root adds, so
+        # 3 + 4 matches come back for a limit of 4 and every one is
+        # applied (see BackoffScheduler).
+        g = EGraph()
+        for text in ("(+ 1 2)", "(+ 3 4)", "(+ 5 6)"):
+            g.add_term(parse(text))
+        big = g.add_term(parse("(+ a b)"))
+        for i in range(20):
+            g.union(big, g.add_term(parse(f"(+ a c{i})")))
+        g.rebuild()
+        stats = apply_rewrite(
+            g, parse_rewrite("comm", "(+ ?a ?b) => (+ ?b ?a)"),
+            op_index=g.op_index(), match_limit=4,
+        )
+        assert stats.n_matches == 7
+        assert stats.n_unions == 7
+
     def test_absorb_accumulates(self):
         g1 = EGraph()
         g1.add_term(parse("(+ a b)"))
@@ -274,6 +331,8 @@ class TestPerfCounters:
         total.absorb(r1.perf)
         total.absorb(r2.perf)
         assert total.node_visits == r1.perf.node_visits + r2.perf.node_visits
+        assert total.n_matches == r1.perf.n_matches + r2.perf.n_matches
+        assert total.apply_time == r1.perf.apply_time + r2.perf.apply_time
         assert set(total.rule_node_visits) == {"comm", "mcomm"}
         round_trip = total.as_dict()
         assert round_trip["node_visits"] == total.node_visits

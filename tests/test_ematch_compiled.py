@@ -20,6 +20,7 @@ from repro.egraph.compile_pattern import (
     SCAN,
     SCANW,
     compile_pattern,
+    compile_rhs,
 )
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import ematch, match_in_class
@@ -72,6 +73,55 @@ class TestCompilation:
         listing = compiled.disassemble()
         assert len(listing.splitlines()) == len(compiled.program)
         assert "scanw" in listing
+
+
+class TestRhsCompilation:
+    def test_reads_follow_lhs_slots(self):
+        rhs = compile_rhs(parse("(+ ?a ?b)"), parse("(+ ?b ?a)"))
+        assert rhs.reads == (1, 0)
+        assert [n[:3] for n in rhs.nodes] == [("+", None, (0, 1))]
+
+    def test_repeated_subterm_compiles_once(self):
+        rhs = compile_rhs(parse("(* ?a 2)"),
+                          parse("(+ (+ ?a 0) (+ ?a 0))"))
+        assert rhs.reads == (0,)
+        # 0, then (+ ?a 0), then the root over that one register twice.
+        assert [n[2] for n in rhs.nodes] == [(), (0, 1), (2, 2)]
+
+    def test_bare_wildcard_rhs_has_no_templates(self):
+        rhs = compile_rhs(parse("(+ ?x ?a)"), parse("?a"))
+        assert rhs.reads == (1,)
+        assert rhs.nodes == ()
+
+    def test_children_getters_build_tuples(self):
+        rhs = compile_rhs(parse("(mac ?c ?a ?b)"),
+                          parse("(+ ?c (neg (* ?a ?b)))"))
+        regs = [10, 11, 12, 13, 14, 15]
+        assert [n[3](regs) for n in rhs.nodes] == [
+            (11, 12), (13,), (10, 14),
+        ]
+
+    def test_programs_are_cached(self):
+        lhs, rhs = parse("(+ ?a ?b)"), parse("(+ ?b ?a)")
+        assert compile_rhs(lhs, rhs) is compile_rhs(lhs, rhs)
+
+    def test_unbound_rhs_wildcard_raises(self):
+        with pytest.raises(KeyError):
+            compile_rhs(parse("(+ ?a ?b)"), parse("(+ ?a ?unbound)"))
+
+    def test_instantiate_matches_add_instantiation(self):
+        g = EGraph()
+        a = g.add_term(parse("(Get x 0)"))
+        b = g.add_term(parse("(Get y 0)"))
+        lhs = parse("(* ?a ?b)")
+        rhs = compile_rhs(lhs, parse("(+ (* ?b ?a) (* ?b ?a))"))
+        root = g.instantiate(rhs, (a, b))
+        assert g.find(root) == g.lookup_term(
+            parse("(+ (* (Get y 0) (Get x 0)) (* (Get y 0) (Get x 0)))")
+        )
+        assert g.add_instantiation(
+            parse("(+ (* ?v ?u) (* ?v ?u))"), {"u": a, "v": b}
+        ) == root
 
 
 class TestDirectedCases:

@@ -181,6 +181,8 @@ class TestPipelineIntegration:
         assert eqsat["attrs"]["stop_reason"] == report.stop_reason.value
         # SaturationPerf counters are folded into the span payload.
         assert eqsat["attrs"]["node_visits"] == report.perf.node_visits
+        assert eqsat["attrs"]["n_matches"] == report.perf.n_matches
+        assert eqsat["attrs"]["apply_time"] == report.perf.apply_time
         assert "rule_match_time" in eqsat["attrs"]
         iterations = sink.by_name("eqsat.iteration")
         assert len(iterations) == report.n_iterations
