@@ -59,6 +59,17 @@ so budgets mean the same thing on every path and the two
 implementations produce identical match lists (see the differential
 fuzz test).
 
+Requirements
+------------
+
+``CompiledPattern.needs`` is ``(ops, leaves)``: the ops of the
+program's SCAN/SCANW instructions and the targets of its LEAF
+instructions, each listed once.  A match must visit a node of every
+such op and find every such leaf, so on an e-graph missing any of them
+the program matches nothing.  The saturation runner checks them with
+:meth:`EGraph.holds <repro.egraph.egraph.EGraph.holds>` and skips the
+application without scanning; a bare-wildcard pattern needs nothing.
+
 Right-hand sides
 ----------------
 
@@ -93,9 +104,13 @@ _OPNAMES = {SCAN: "scan", SCANW: "scanw", BINDW: "bindw",
 
 
 class CompiledPattern:
-    """One pattern compiled to a flat instruction program."""
+    """One pattern compiled to a flat instruction program.
 
-    __slots__ = ("pattern", "program", "slot_names", "n_regs")
+    ``needs`` is ``(ops, leaves)``, what any match requires the e-graph
+    to hold (see the module docstring).
+    """
+
+    __slots__ = ("pattern", "program", "slot_names", "n_regs", "needs")
 
     def __init__(self, pattern: Term, program: tuple,
                  slot_names: tuple, n_regs: int):
@@ -103,6 +118,14 @@ class CompiledPattern:
         self.program = program
         self.slot_names = slot_names
         self.n_regs = n_regs
+        self.needs = (
+            tuple(dict.fromkeys(
+                instr[2] for instr in program if instr[0] in (SCAN, SCANW)
+            )),
+            tuple(dict.fromkeys(
+                instr[2] for instr in program if instr[0] == LEAF
+            )),
+        )
 
     def disassemble(self) -> str:
         """Human-readable listing (debugging / tests)."""

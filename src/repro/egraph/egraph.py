@@ -370,6 +370,39 @@ class EGraph:
             lst[:] = compacted
         self._index_stale = 0
 
+    def holds(self, needs: tuple) -> bool:
+        """False when a pattern with these ``needs`` cannot match here.
+
+        ``needs`` is a compiled pattern's ``(ops, leaves)``
+        (``CompiledPattern.needs``): the ops its scans look for and
+        the leaf e-nodes it requires.  Without a node of one of those
+        ops, or without one of those leaves, the pattern matches
+        nothing anywhere in the graph.
+
+        Ops are read from the live op index, not an :meth:`op_index`
+        snapshot, so an op added mid-iteration counts at once.  Leaves
+        are read from the hashcons, whose lookup compares like the
+        matcher's ``node == target`` (``1``, ``1.0`` and
+        ``Fraction(1)`` are one key).  Both reads are exact because
+        presence is monotone.  Nodes are never deleted: rebuild only
+        dedups equal nodes, and compaction keeps each op list's
+        canonical ids, so an op's list never empties once appended to.
+        ``_repair`` re-keys only parent nodes, which a leaf never is,
+        so a leaf keeps its hashcons key.  Hence every node in the
+        graph has a non-empty op list, and every leaf node is a
+        hashcons key.
+        """
+        ops, leaves = needs
+        index = self._op_index
+        for op in ops:
+            if not index.get(op):
+                return False
+        hashcons = self._hashcons
+        for leaf in leaves:
+            if leaf not in hashcons:
+                return False
+        return True
+
     # -- equality queries -----------------------------------------------------
 
     def equivalent(self, a: int, b: int) -> bool:

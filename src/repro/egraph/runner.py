@@ -10,6 +10,13 @@ The :class:`BackoffScheduler` reproduces egg's default rule scheduler:
 a rule that produces more matches than its threshold is banned for a
 few iterations and its threshold doubles, taming associativity/
 commutativity explosions without dropping the rule entirely.
+
+A generated compiler carries rules for every ISA instruction, and a
+kernel uses few of them.  Before applying a rule the runner checks
+that the e-graph holds every op and leaf its compiled LHS scans for
+(:meth:`EGraph.holds <repro.egraph.egraph.EGraph.holds>`).  If one is
+missing the match would be empty, so the runner records zero matches
+without scanning; ``SaturationPerf.n_unmatchable`` counts these skips.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
-from repro.egraph.rewrite import Rewrite, apply_rewrite
+from repro.egraph.rewrite import ApplyStats, Rewrite, apply_rewrite
 from repro.obs import current_tracer
 
 
@@ -79,10 +87,13 @@ class SaturationPerf:
     paths this engine optimizes: matching, the op index, applying
     matches (instantiate and union) and rebuilding.  Per-rule
     breakdowns identify which rewrites dominate the match bill.
+    ``n_unmatchable`` counts the applications skipped unscanned
+    because the LHS needs an op or leaf the e-graph lacks.
     """
 
     node_visits: int = 0
     n_matches: int = 0
+    n_unmatchable: int = 0
     match_time: float = 0.0
     index_time: float = 0.0
     apply_time: float = 0.0
@@ -98,6 +109,7 @@ class SaturationPerf:
         """Accumulate ``other`` into this (for cross-run aggregation)."""
         self.node_visits += other.node_visits
         self.n_matches += other.n_matches
+        self.n_unmatchable += other.n_unmatchable
         self.match_time += other.match_time
         self.index_time += other.index_time
         self.apply_time += other.apply_time
@@ -118,6 +130,7 @@ class SaturationPerf:
         return {
             "node_visits": self.node_visits,
             "n_matches": self.n_matches,
+            "n_unmatchable": self.n_unmatchable,
             "match_time": self.match_time,
             "index_time": self.index_time,
             "apply_time": self.apply_time,
@@ -384,6 +397,7 @@ def _run_saturation(
     # Disabled rules leave the run entirely: unlike a ban, dropping
     # them must not block the saturation claim below.
     rules = [rule for rule in rules if not scheduler.is_disabled(rule)]
+    needs = [compile_pattern(rule.lhs).needs for rule in rules]
     start = time.monotonic()
     report = RunnerReport(stop_reason=StopReason.ITERATION_LIMIT)
     perf = report.perf
@@ -415,7 +429,7 @@ def _run_saturation(
         unions_before = egraph.n_unions
         any_skipped = False
 
-        for rule in rules:
+        for rule, rule_needs in zip(rules, needs):
             if time.monotonic() - start > limits.time_limit:
                 report.stop_reason = StopReason.TIME_LIMIT
                 break
@@ -449,14 +463,21 @@ def _run_saturation(
                 _record_perf(perf, rule.name, stats)
                 continue
             cap = scheduler.threshold(rule)
-            stats = apply_rewrite(
-                egraph,
-                rule,
-                op_index=op_index,
-                match_limit=cap + 1,
-                match_work=limits.match_work,
-                roots=roots,
-            )
+            if egraph.holds(rule_needs):
+                stats = apply_rewrite(
+                    egraph,
+                    rule,
+                    op_index=op_index,
+                    match_limit=cap + 1,
+                    match_work=limits.match_work,
+                    roots=roots,
+                )
+            else:
+                # The LHS scans for an op or leaf the graph lacks, so
+                # matching would find nothing: record the empty match
+                # without scanning a single candidate.
+                stats = _NO_MATCHES
+                perf.n_unmatchable += 1
             scheduler.record(rule, iteration, stats.n_matches)
             if stats.n_matches > cap:
                 any_skipped = True
@@ -656,6 +677,10 @@ class Runner:
                 else set(checkpoint.pending_roots)
             ),
         )
+
+
+# The stats recorded for an application skipped as unmatchable.
+_NO_MATCHES = ApplyStats()
 
 
 def _record_perf(perf: SaturationPerf, rule_name: str, stats) -> None:
