@@ -13,8 +13,9 @@ Modules:
 - :mod:`repro.egraph.egraph` — e-classes, hashcons, rebuild, and the
   incrementally maintained per-op candidate index;
 - :mod:`repro.egraph.compile_pattern` — rewrites compiled to flat
-  programs: an egg-style e-matching VM program for the LHS and a
-  postorder instantiation program for the RHS;
+  programs: an egg-style e-matching VM program for the LHS, run as a
+  Python function generated once per program shape, and a postorder
+  instantiation program for the RHS;
 - :mod:`repro.egraph.ematch` — pattern matching over e-classes
   (compiled by default, legacy walk behind ``REPRO_LEGACY_EMATCH``);
 - :mod:`repro.egraph.rewrite` — rewrite rules and application;
@@ -34,7 +35,6 @@ Modules:
 from repro.egraph.unionfind import UnionFind
 from repro.egraph.egraph import EGraph, EClass, ENode
 from repro.egraph.compile_pattern import (
-    CompiledMatcher,
     CompiledPattern,
     compile_pattern,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "EGraph",
     "EClass",
     "ENode",
-    "CompiledMatcher",
     "CompiledPattern",
     "compile_pattern",
     "ematch",

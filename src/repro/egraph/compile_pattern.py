@@ -6,8 +6,10 @@ pattern *term* on every candidate node: each call re-reads ``.op`` /
 binding.  That interpretation overhead is pure waste — the pattern is
 fixed for the lifetime of a rule — so, in the spirit of egg's
 e-matching virtual machine, we compile each pattern **once** into a
-small program of register-style instructions and run that program
-against e-classes instead.  The right-hand side compiles once too
+small program of register-style instructions.  The program is the IR:
+each program *shape* is then translated once into a Python function
+that runs a whole rule application's match (see "Generated
+matchers" below).  The right-hand side compiles once too
 (:func:`compile_rhs`), into a postorder program that reads the
 left-hand side's binding slots, so a match travels from the matcher
 to :meth:`EGraph.instantiate <repro.egraph.egraph.EGraph.instantiate>`
@@ -54,10 +56,48 @@ Instructions (tuples, opcode first):
     Require the exact leaf e-node to be present in the class.
 
 Work accounting is *uniform*: every e-node visited by any scan costs
-one unit of the shared budget, in both this VM and the legacy matcher,
-so budgets mean the same thing on every path and the two
-implementations produce identical match lists (see the differential
-fuzz test).
+one unit of the shared budget, in both the generated matchers and the
+legacy matcher, so budgets mean the same thing on every path and the
+two implementations produce identical match lists (see the
+differential fuzz test).
+
+Generated matchers
+------------------
+
+A program's *shape* is the program with every op, payload and leaf
+target replaced by its position in a ``constants`` tuple
+(``CompiledPattern.shape`` / ``.constants``).  Rules differ mostly in
+their constants, so few shapes cover many patterns: the 511 LHS
+patterns the masked-w8 bootstrap matches share 191 shapes.
+:func:`shape_matcher` writes each shape's Python source once, compiles
+it, and caches the function by shape; :meth:`CompiledPattern.matcher`
+fetches it on first use, so the one-time cost (about 2 ms a shape
+on a 2-vCPU x86 host) lands in the first match that needs it.  Two threads may generate
+one shape at once; ``dict.setdefault`` keeps one of the two
+equivalent functions.
+
+The function ``match(K, candidates, roots, limit, work, cap, find,
+parent, classes)`` runs one rule application: it canonicalizes each
+candidate class id, skips repeats and classes outside ``roots``,
+matches the rest in order, stops once ``limit`` matches are in or the
+work is spent, and returns ``(groups, remaining work)``.  Each
+instruction becomes inline code: scans are nested ``for`` loops over
+``classes[id].nodes``, registers and slots are locals, and binding
+lists are built as the VM built them.  There is no instruction
+dispatch, no call per nested scan and no call per root.  The code
+repeats the VM's every work test, charge, cap and binding order, so
+match lists, node visits and the union-find state after matching are
+the VM's; it reads ids through ``parent`` and calls ``find`` only on
+paths ``find`` would compress.  CPython allows 20 nested loops in one
+function, so a scan nested deeper than ``_MAX_INLINE_LOOPS`` becomes a
+helper function of its own.
+
+Rule data never reaches the source text.  Op names, payloads and
+targets come from rule files and artifacts; the text is built only
+from fixed names and from integers the pattern compiler produced
+(registers, arities, slots), and the constants arrive as ``K``.  The
+VM interpreter these functions replaced is kept as the oracle of
+``tests/test_ematch_compiled.py`` in ``tests/match_oracle.py``.
 
 Requirements
 ------------
@@ -107,10 +147,13 @@ class CompiledPattern:
     """One pattern compiled to a flat instruction program.
 
     ``needs`` is ``(ops, leaves)``, what any match requires the e-graph
-    to hold (see the module docstring).
+    to hold.  ``shape`` and ``constants`` split the program into its
+    structure and its rule data; :meth:`matcher` is the shape's
+    generated match function (see the module docstring).
     """
 
-    __slots__ = ("pattern", "program", "slot_names", "n_regs", "needs")
+    __slots__ = ("pattern", "program", "slot_names", "n_regs", "needs",
+                 "shape", "constants", "_matcher")
 
     def __init__(self, pattern: Term, program: tuple,
                  slot_names: tuple, n_regs: int):
@@ -126,6 +169,19 @@ class CompiledPattern:
                 instr[2] for instr in program if instr[0] == LEAF
             )),
         )
+        self.shape, self.constants = _split(program)
+        self._matcher = None
+
+    def matcher(self):
+        """The generated match function for this program's shape.
+
+        Generated (or fetched from the shape cache) on first use, so
+        the one-time cost lands in the first match that needs it.
+        """
+        fn = self._matcher
+        if fn is None:
+            fn = self._matcher = shape_matcher(self.shape)
+        return fn
 
     def disassemble(self) -> str:
         """Human-readable listing (debugging / tests)."""
@@ -269,175 +325,302 @@ def compile_rhs(lhs: Term, rhs: Term) -> CompiledRhs:
     return compiled
 
 
-class CompiledMatcher:
-    """Runs one compiled program over a (possibly dirty) e-graph.
+# -- generated matchers ------------------------------------------------
 
-    Mirrors the legacy ``_Matcher`` contract: a shared work budget
-    across calls, a per-compound binding cap, and class ids
-    canonicalized through the union-find at every read so matching
-    mid-iteration (between rule applications, before the batched
-    rebuild) sees the same view the recursive matcher did.
+
+def _split(program: tuple) -> tuple[tuple, tuple]:
+    """``(shape, constants)`` of ``program``.
+
+    The shape keeps each instruction's opcode, registers, arity, slots
+    and body length.  Its ops, payloads and leaf targets move, in
+    program order, into ``constants``.
+    """
+    shape = []
+    constants: list = []
+    for instr in program:
+        code = instr[0]
+        if code == SCAN:
+            _, reg, op, payload, n_args, base, body_len = instr
+            constants += (op, payload)
+            shape.append((SCAN, reg, n_args, base, body_len))
+        elif code == SCANW:
+            _, reg, op, payload, n_args, actions, _all_new = instr
+            constants += (op, payload)
+            shape.append((SCANW, reg, n_args, actions))
+        elif code == LEAF:
+            _, reg, target = instr
+            constants.append(target)
+            shape.append((LEAF, reg))
+        else:
+            shape.append(instr)
+    return tuple(shape), tuple(constants)
+
+
+# CPython refuses more than 20 statically nested blocks in a function.
+# A SCAN that would open a loop deeper than this moves into a helper
+# function of its own; the deepest inline loop (a SCANW's per-binding
+# loop inside the deepest inline SCAN) then sits at this depth plus two.
+_MAX_INLINE_LOOPS = 12
+
+_MATCH_ARGS = "K, candidates, roots, limit, work, cap, find, parent, classes"
+_HELPER_ARGS = "S, cls, work, cap, find, parent, classes, K"
+
+
+class _Codegen:
+    """Writes the Python source of one shape's match function.
+
+    Every name in the text is fixed or built from an integer in the
+    shape; constant ``i`` is read as local ``k<i>`` from the tuple
+    ``K``.  Each instruction's code follows the VM's and charges the
+    same work.  It reads ids through ``parent``, calling ``find`` only
+    when the path is longer than one step, which is when ``find``
+    would compress it.
     """
 
-    __slots__ = ("_compiled", "_find", "_parent", "_classes", "_cap",
-                 "_regs", "work")
-
-    def __init__(self, compiled: CompiledPattern, egraph, cap: int,
-                 work: int):
-        self._compiled = compiled
-        self._find = egraph._uf.find
-        # Raw union-find parent array: lets the scan loops resolve
-        # already-compressed ids with one list index instead of a
-        # function call, falling back to find() on uncompressed paths.
-        self._parent = egraph._uf._parent
-        self._classes = egraph._classes
-        self._cap = cap
-        # Every instruction writes its registers before reading them,
-        # so one register file serves all matches of this matcher.
-        self._regs = [0] * compiled.n_regs
-        self.work = work
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the e-node-visit work budget is spent."""
-        return self.work <= 0
-
-    def match_slots(self, class_id: int) -> list[tuple]:
-        """All bindings against ``class_id``, as slot tuples.
-
-        Tuple ``i`` holds the class bound to ``slot_names[i]``.
-        """
-        if self.work <= 0:
-            return []
-        parent = self._parent
-        root = parent[class_id]
-        if root != parent[root]:
-            root = self._find(class_id)
-        regs = self._regs
-        regs[0] = root
-        program = self._compiled.program
-        return self._run(program, 0, len(program), [()], regs)
-
-    def match_class(self, class_id: int) -> list[dict]:
-        """All bindings of the pattern against ``class_id``."""
-        names = self._compiled.slot_names
-        return [dict(zip(names, s)) for s in self.match_slots(class_id)]
-
-    def _run(self, program: tuple, pc: int, end: int,
-             states: list, regs: list) -> list:
-        find = self._find
-        parent = self._parent
-        classes = self._classes
-        cap = self._cap
-        while pc < end and states:
-            if self.work <= 0:
-                return []
-            instr = program[pc]
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        # Per instruction: position of its first constant, and the
+        # number of slots bound before it (binding tuples grow in
+        # program order, so every tuple reaching it has that length).
+        self.const: list[int] = []
+        self.bound: list[int] = []
+        n_const = n_bound = 0
+        for instr in shape:
+            self.const.append(n_const)
+            self.bound.append(n_bound)
             code = instr[0]
+            if code in (SCAN, SCANW):
+                n_const += 2
+            elif code == LEAF:
+                n_const += 1
+            if code == BINDW:
+                n_bound += 1
+            elif code == SCANW:
+                n_bound += sum(is_new for is_new, _ in instr[3])
+        self.unpack = (
+            f"{', '.join(f'k{i}' for i in range(n_const))}, = K"
+            if n_const else ""
+        )
+        self.helpers: list[str] = []
+
+    def source(self) -> str:
+        body = ["    groups = []", "    n_matches = 0", "    seen = set()",
+                "    for cid in candidates:",
+                "        r0 = parent[cid]",
+                "        if r0 != parent[r0]:",
+                "            r0 = find(cid)",
+                "        if r0 in seen:",
+                "            continue",
+                "        seen.add(r0)",
+                "        if roots is not None and r0 not in roots:",
+                "            continue"]
+        ind = " " * 8
+        result = self._seq(body, ind, 0, len(self.shape), "[()]", 1)
+        body += [f"{ind}if {result}:",
+                 f"{ind}    groups.append((r0, {result}))",
+                 f"{ind}    n_matches += len({result})",
+                 f"{ind}    if limit is not None and n_matches >= limit:",
+                 f"{ind}        break",
+                 f"{ind}if work <= 0:",
+                 f"{ind}    break",
+                 "    return groups, work"]
+        head = [f"def match({_MATCH_ARGS}):"]
+        if self.unpack:
+            head.append(f"    {self.unpack}")
+        return "\n\n".join(self.helpers + ["\n".join(head + body)]) + "\n"
+
+    def _seq(self, out: list, ind: str, pc: int, end: int, states: str,
+             depth: int) -> str:
+        """Emit instructions ``pc..end`` over the binding list ``states``.
+
+        Returns the name holding the result.  The code sits directly in
+        a loop (candidates or a SCAN's nodes) whose ``continue`` means
+        "no bindings from here"; ``break`` means the same once work is
+        spent, since the loop's next step would stop anyway.  The list
+        ``"[()]"`` is the root's single empty binding.
+        """
+        # The VM tests work and bindings before every instruction.  A
+        # test is left out where its outcome is known: the sequence is
+        # entered with bindings, BINDW keeps them and spends no work,
+        # and CHECKW spends no work.
+        work_left = False
+        nonempty = True
+        while pc < end:
+            if not work_left:
+                out += [f"{ind}if work <= 0:", f"{ind}    break"]
+            if not nonempty:
+                out += [f"{ind}if not {states}:", f"{ind}    continue"]
+            code = self.shape[pc][0]
+            work_left = code in (BINDW, CHECKW)
+            nonempty = code == BINDW
+            if code == SCAN:
+                states = self._scan(out, ind, pc, states, depth)
+                pc += 1 + self.shape[pc][4]
+                continue
             if code == SCANW:
-                _, reg, op, payload, n_args, actions, all_new = instr
-                nodes = classes[find(regs[reg])].nodes
-                out: list = []
-                append = out.append
-                work = self.work
-                # ``states`` is constant for the whole scan; the
-                # single-state case (every top-level scan, and most
-                # nested ones) skips the per-node inner loop entirely.
-                single = states[0] if len(states) == 1 else None
-                for node in nodes:
-                    if work <= 0:
-                        break
-                    work -= 1
-                    if node[0] != op or node[1] != payload:
-                        continue
-                    children = node[2]
-                    if len(children) != n_args:
-                        continue
-                    if work <= 0:
-                        # The legacy matcher's per-child entry check:
-                        # an exhausted budget yields no bindings for
-                        # this node, and the next node stops the scan.
-                        break
-                    if n_args == 2:
-                        c0, c1 = children
-                        r0 = parent[c0]
-                        if r0 != parent[r0]:
-                            r0 = find(c0)
-                        r1 = parent[c1]
-                        if r1 != parent[r1]:
-                            r1 = find(c1)
-                        cids = (r0, r1)
-                    else:
-                        cids = tuple(map(find, children))
-                    if all_new:
-                        if single is not None:
-                            append(single + cids)
-                        else:
-                            out.extend([s + cids for s in states])
-                    else:
-                        for s in states:
-                            new = s
-                            ok = True
-                            for (is_new, slot), cid in zip(actions, cids):
-                                if is_new:
-                                    new = new + (cid,)
-                                elif find(new[slot]) != cid:
-                                    ok = False
-                                    break
-                            if ok:
-                                append(new)
-                    if len(out) >= cap:
-                        del out[cap:]
-                        break
-                self.work = work
-                states = out
-                pc += 1
+                states = self._scanw(out, ind, pc, states)
             elif code == BINDW:
-                cid = find(regs[instr[1]])
-                states = [s + (cid,) for s in states]
-                pc += 1
+                cls = self._canon(out, ind, pc, self.shape[pc][1])
+                new = (f"[({cls},)]" if states == "[()]"
+                       else f"[t + ({cls},) for t in {states}]")
+                out.append(f"{ind}s{pc} = {new}")
+                states = f"s{pc}"
             elif code == CHECKW:
-                _, reg, slot = instr
-                cid = find(regs[reg])
-                states = [s for s in states if find(s[slot]) == cid]
-                pc += 1
-            elif code == SCAN:
-                _, reg, op, payload, n_args, base, body_len = instr
-                body_end = pc + 1 + body_len
-                nodes = classes[find(regs[reg])].nodes
-                out = []
-                for node in nodes:
-                    if self.work <= 0:
-                        break
-                    self.work -= 1
-                    if node[0] != op or node[1] != payload:
-                        continue
-                    children = node[2]
-                    if len(children) != n_args:
-                        continue
-                    regs[base:base + n_args] = children
-                    sub = self._run(program, pc + 1, body_end, states, regs)
-                    if sub:
-                        out.extend(sub)
-                        if len(out) >= cap:
-                            del out[cap:]
-                            break
-                states = out
-                pc = body_end
+                _, reg, slot = self.shape[pc]
+                cls = self._canon(out, ind, pc, reg)
+                out.append(f"{ind}s{pc} = [t for t in {states} "
+                           f"if t[{slot}] == {cls}]")
+                states = f"s{pc}"
             else:  # LEAF
-                _, reg, target = instr
-                nodes = classes[find(regs[reg])].nodes
-                work = self.work
-                found = False
-                for node in nodes:
-                    if work <= 0:
-                        break
-                    work -= 1
-                    if node == target:
-                        found = True
-                        break
-                self.work = work
-                if not found:
-                    states = []
-                pc += 1
+                cls = self._canon(out, ind, pc, self.shape[pc][1])
+                k = self.const[pc]
+                out += [f"{ind}hit = False",
+                        f"{ind}for nd in classes[{cls}].nodes:",
+                        f"{ind}    if work <= 0:",
+                        f"{ind}        break",
+                        f"{ind}    work -= 1",
+                        f"{ind}    if nd == k{k}:",
+                        f"{ind}        hit = True",
+                        f"{ind}        break",
+                        f"{ind}s{pc} = {states} if hit else []"]
+                states = f"s{pc}"
+            pc += 1
         return states
+
+    def _canon(self, out: list, ind: str, pc: int, reg: int) -> str:
+        """Name holding the canonical id of register ``reg``."""
+        if reg == 0:
+            return "r0"  # the root, canonical already
+        out += [f"{ind}x{pc} = parent[r{reg}]",
+                f"{ind}if x{pc} != parent[x{pc}]:",
+                f"{ind}    x{pc} = find(r{reg})"]
+        return f"x{pc}"
+
+    def _scan_head(self, out: list, ind: str, pc: int, cls: str) -> str:
+        """The node loop shared by SCAN and SCANW, up to the arity test."""
+        k = self.const[pc]
+        n_args = self.shape[pc][2]
+        out += [f"{ind}s{pc} = []",
+                f"{ind}for nd in classes[{cls}].nodes:",
+                f"{ind}    if work <= 0:",
+                f"{ind}        break",
+                f"{ind}    work -= 1",
+                f"{ind}    if nd[0] != k{k} or nd[1] != k{k + 1}:",
+                f"{ind}        continue",
+                f"{ind}    ch = nd[2]",
+                f"{ind}    if len(ch) != {n_args}:",
+                f"{ind}        continue"]
+        return ind + "    "
+
+    def _cap(self, out: list, ind: str, pc: int) -> None:
+        out += [f"{ind}if len(s{pc}) >= cap:",
+                f"{ind}    del s{pc}[cap:]",
+                f"{ind}    break"]
+
+    def _scan(self, out: list, ind: str, pc: int, states: str,
+              depth: int) -> str:
+        _, reg, n_args, base, body_len = self.shape[pc]
+        cls = self._canon(out, ind, pc, reg)
+        if depth >= _MAX_INLINE_LOOPS:
+            self._helper(pc)
+            out.append(f"{ind}s{pc}, work = scan{pc}({states}, {cls}, "
+                       "work, cap, find, parent, classes, K)")
+            return f"s{pc}"
+        inner = self._scan_head(out, ind, pc, cls)
+        if n_args:
+            regs = ", ".join(f"r{base + i}" for i in range(n_args))
+            out.append(f"{inner}{regs}, = ch")
+        # The body runs over the whole incoming list for every hit.
+        sub = self._seq(out, inner, pc + 1, pc + 1 + body_len, states,
+                        depth + 1)
+        out += [f"{inner}if {sub}:", f"{inner}    s{pc}.extend({sub})"]
+        self._cap(out, inner + "    ", pc)
+        return f"s{pc}"
+
+    def _helper(self, pc: int) -> None:
+        """Emit ``scan<pc>``, a SCAN as a function of its own."""
+        lines = [f"def scan{pc}({_HELPER_ARGS}):"]
+        if self.unpack:
+            lines.append(f"    {self.unpack}")
+        body: list[str] = []
+        inner = self._scan_head(body, "    ", pc, "cls")
+        _, _, n_args, base, body_len = self.shape[pc]
+        if n_args:
+            regs = ", ".join(f"r{base + i}" for i in range(n_args))
+            body.append(f"{inner}{regs}, = ch")
+        sub = self._seq(body, inner, pc + 1, pc + 1 + body_len, "S", 2)
+        body += [f"{inner}if {sub}:", f"{inner}    s{pc}.extend({sub})"]
+        self._cap(body, inner + "    ", pc)
+        body.append(f"    return s{pc}, work")
+        self.helpers.append("\n".join(lines + body))
+
+    def _scanw(self, out: list, ind: str, pc: int, states: str) -> str:
+        _, reg, n_args, actions = self.shape[pc]
+        cls = self._canon(out, ind, pc, reg)
+        inner = self._scan_head(out, ind, pc, cls)
+        # The VM's second work test, after the arity test.
+        out += [f"{inner}if work <= 0:", f"{inner}    break",
+                f"{inner}{', '.join(f'a{i}' for i in range(n_args))}, = ch"]
+        for i in range(n_args):
+            out += [f"{inner}c{i} = parent[a{i}]",
+                    f"{inner}if c{i} != parent[c{i}]:",
+                    f"{inner}    c{i} = find(a{i})"]
+        # Each action binds child i to the next slot or checks it
+        # against an earlier slot: one of the incoming tuple's, or one
+        # bound by an earlier child of this node.
+        n_bound = self.bound[pc]
+        slot_of: dict[int, str] = {}
+        new: list[str] = []
+        node_checks: list[str] = []
+        tuple_checks: list[str] = []
+        for i, (is_new, slot) in enumerate(actions):
+            if is_new:
+                slot_of[n_bound + len(new)] = f"c{i}"
+                new.append(f"c{i}")
+            elif slot < n_bound:
+                tuple_checks.append(f"t[{slot}] == c{i}")
+            else:
+                node_checks.append(f"{slot_of[slot]} == c{i}")
+        body = inner
+        if node_checks:
+            out.append(f"{body}if {' and '.join(node_checks)}:")
+            body += "    "
+        grown = f"({', '.join(new)},)" if new else "()"
+        if states == "[()]":
+            out.append(f"{body}s{pc}.append({grown})")
+        else:
+            out.append(f"{body}for t in {states}:")
+            body += "    "
+            if tuple_checks:
+                out.append(f"{body}if {' and '.join(tuple_checks)}:")
+                body += "    "
+            out.append(f"{body}s{pc}.append(t + {grown})")
+        self._cap(out, inner, pc)
+        return f"s{pc}"
+
+
+def _generate(shape: tuple):
+    """Compile ``shape``'s source and return its ``match`` function."""
+    namespace: dict = {}
+    source = _Codegen(shape).source()
+    exec(compile(source, "<generated matcher>", "exec"), namespace)
+    return namespace["match"]
+
+
+# Shape -> generated function, shared by every pattern of that shape.
+_MATCHERS: dict[tuple, object] = {}
+
+
+def shape_matcher(shape: tuple):
+    """The generated match function for ``shape``.
+
+    ``match(K, candidates, roots, limit, work, cap, find, parent,
+    classes)`` returns ``(groups, remaining work)``; see the module
+    docstring.
+    """
+    fn = _MATCHERS.get(shape)
+    if fn is None:
+        # Compiles run on worker threads, so two may generate one shape
+        # at once.  Their functions are equivalent; setdefault keeps one.
+        fn = _MATCHERS.setdefault(shape, _generate(shape))
+    return fn

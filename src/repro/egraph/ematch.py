@@ -11,15 +11,19 @@ application hands them straight to the compiled right-hand side.
 Two interchangeable matchers implement the same semantics:
 
 - the **compiled** matcher (default): each pattern is compiled once
-  into a flat instruction program (:mod:`repro.egraph.compile_pattern`)
-  and executed over register-style binding tuples — the saturation hot
-  path;
+  into a flat instruction program (:mod:`repro.egraph.compile_pattern`),
+  and each program shape into a generated Python function that runs a
+  whole rule application — candidate loop, scans, binding tuples, caps
+  and work budget — in one call.  This is the saturation hot path;
 - the **legacy** matcher: the classic backtracking relational walk
   kept as the executable specification, selectable with
   ``REPRO_LEGACY_EMATCH=1`` (or ``compiled=False``) and used by the
   differential fuzz tests to prove the compiled programs produce
   identical match lists.  Its ``dict`` bindings are converted to slot
-  tuples as they leave it.
+  tuples as they leave it, and it runs inside the same candidate loop.
+
+The e-matching VM interpreter that ran the programs before they were
+generated is kept as a second oracle in ``tests/match_oracle.py``.
 
 Binding lists are *capped* (``limit``): patterns with sibling
 subpatterns over large classes produce a cross product of bindings,
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import os
 
-from repro.egraph.compile_pattern import CompiledMatcher, compile_pattern
+from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
 from repro.lang.ops import WILD
 from repro.lang.term import Term
@@ -148,35 +152,78 @@ class _Matcher:
         return out
 
 
-def _make_matcher(
+def _legacy_groups(
     egraph: EGraph,
     pattern: Term,
-    cap: int,
+    candidates,
+    roots: set[int] | None,
+    limit: int | None,
     work: int,
-    compiled: bool | None,
-):
-    """``(matcher, match_root)`` for the selected implementation.
+    cap: int,
+) -> tuple[list[tuple[int, list[tuple]]], int]:
+    """The generated matchers' candidate loop around the legacy walk.
 
-    ``match_root(class_id)`` answers slot tuples ordered like
-    ``compile_pattern(pattern).slot_names``; the legacy walk's dicts
-    are converted here, so both matchers feed the same consumers.
+    Returns ``(groups, remaining work)``; the walk's ``dict`` bindings
+    become slot tuples here, so both matchers feed the same consumers.
+    """
+    matcher = _Matcher(egraph, cap, work)
+    names = compile_pattern(pattern).slot_names
+    uf = egraph._uf
+    find = uf.find
+    parent = uf._parent
+    groups: list[tuple[int, list[tuple]]] = []
+    n_matches = 0
+    seen: set[int] = set()
+    for class_id in candidates:
+        # find() without the call when the path is already short.
+        root = parent[class_id]
+        if root != parent[root]:
+            root = find(class_id)
+        if root in seen:
+            continue
+        seen.add(root)
+        if roots is not None and root not in roots:
+            continue
+        bindings = [
+            tuple([binding[name] for name in names])
+            for binding in matcher.match(pattern, root, [{}])
+        ]
+        if bindings:
+            groups.append((root, bindings))
+            n_matches += len(bindings)
+            if limit is not None and n_matches >= limit:
+                break
+        if matcher.work <= 0:
+            break
+    return groups, matcher.work
+
+
+def _match(
+    egraph: EGraph,
+    pattern: Term,
+    candidates,
+    roots: set[int] | None,
+    limit: int | None,
+    work: int,
+    cap: int,
+    compiled: bool | None,
+) -> tuple[list[tuple[int, list[tuple]]], int]:
+    """``(groups, remaining work)`` over ``candidates`` (class ids).
+
+    Each candidate is canonicalized and matched once, in order, until
+    ``limit`` matches are collected or the work runs out.
     """
     if compiled is None:
         compiled = not _legacy_requested()
+    if not compiled:
+        return _legacy_groups(egraph, pattern, candidates, roots, limit,
+                              work, cap)
     program = compile_pattern(pattern)
-    if compiled:
-        matcher = CompiledMatcher(program, egraph, cap, work)
-        return matcher, matcher.match_slots
-    matcher = _Matcher(egraph, cap, work)
-    names = program.slot_names
-
-    def match_root(class_id: int) -> list[tuple]:
-        return [
-            tuple([binding[name] for name in names])
-            for binding in matcher.match(pattern, class_id, [{}])
-        ]
-
-    return matcher, match_root
+    uf = egraph._uf
+    return program.matcher()(
+        program.constants, candidates, roots, limit, work, cap,
+        uf.find, uf._parent, egraph._classes,
+    )
 
 
 def match_in_class(
@@ -187,11 +234,11 @@ def match_in_class(
     compiled: bool | None = None,
 ) -> list[Binding]:
     """Bindings under which ``pattern`` matches class ``class_id``."""
-    _matcher, match_root = _make_matcher(
-        egraph, pattern, cap, DEFAULT_MATCH_WORK, compiled
-    )
+    groups, _work = _match(egraph, pattern, (class_id,), None, None,
+                           DEFAULT_MATCH_WORK, cap, compiled)
     names = compile_pattern(pattern).slot_names
-    return [dict(zip(names, s)) for s in match_root(class_id)]
+    return [dict(zip(names, s)) for _root, bindings in groups
+            for s in bindings]
 
 
 def ematch(
@@ -267,48 +314,16 @@ def ematch_slots(
                 break
         return groups
 
-    matcher, match_root = _make_matcher(
-        egraph, pattern, cap, work_budget, compiled
-    )
-    n_matches = 0
     if op_index is not None:
         candidates = op_index.get(pattern.op, ())
-        uf = egraph._uf
-        find = uf.find
-        parent = uf._parent
-        seen: set[int] = set()
-        for class_id in candidates:
-            # find() without the call when the path is already short.
-            root = parent[class_id]
-            if root != parent[root]:
-                root = find(class_id)
-            if root in seen:
-                continue
-            seen.add(root)
-            if roots is not None and root not in roots:
-                continue
-            bindings = match_root(root)
-            if bindings:
-                groups.append((root, bindings))
-                n_matches += len(bindings)
-                if limit is not None and n_matches >= limit:
-                    break
-            if matcher.work <= 0:
-                break
     else:
-        for eclass in egraph.classes():
-            if roots is not None and eclass.id not in roots:
-                continue
-            bindings = match_root(eclass.id)
-            if bindings:
-                groups.append((eclass.id, bindings))
-                n_matches += len(bindings)
-                if limit is not None and n_matches >= limit:
-                    break
-            if matcher.work <= 0:
-                break
+        # The class table's keys: every canonical class, in the order
+        # ``egraph.classes()`` yields them.
+        candidates = egraph._classes
+    groups, work = _match(egraph, pattern, candidates, roots, limit,
+                          work_budget, cap, compiled)
     if counters is not None:
         counters["node_visits"] = (
-            counters.get("node_visits", 0) + (work_budget - matcher.work)
+            counters.get("node_visits", 0) + (work_budget - work)
         )
     return groups

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import time
 
-from repro.egraph.compile_pattern import CompiledMatcher, compile_pattern
+from match_oracle import CompiledMatcher
+
+from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EClass, EGraph, ENode
 from repro.egraph.ematch import (
     DEFAULT_MATCH_CAP,
