@@ -289,3 +289,56 @@ class CvecEvaluator:
         if fingerprint is None:
             return None
         return self.intern(fingerprint)
+
+
+class GridCache:
+    """The sample grids of one checking pass, one per check signature.
+
+    Every soundness check draws its environments from its signature
+    alone — the check kind, the sorted wildcard names (and kinds), the
+    sample count and a fixed seed — so all checks that share a
+    signature already fuzz the same inputs.  The cache hands them one
+    :class:`CvecEvaluator` over that grid, and each distinct subterm
+    row is computed once per pass instead of once per rule.  Rows hold
+    raw interpreter values, so a row is the same whichever check
+    computes it first.
+
+    A cache belongs to one pass over one interpreter in one process;
+    it is never sent to a worker.  :meth:`clear` frees its rows.
+    """
+
+    __slots__ = ("interpreter", "_evaluators")
+
+    def __init__(self, interpreter: Interpreter):
+        self.interpreter = interpreter
+        self._evaluators: dict[tuple, CvecEvaluator] = {}
+
+    def __len__(self) -> int:
+        return len(self._evaluators)
+
+    def evaluator(self, key: tuple, make_envs, perf=None) -> CvecEvaluator:
+        """The evaluator over ``key``'s grid, drawn by ``make_envs()``
+        on first use.  Its counters go to ``perf``, the caller's
+        block, whichever caller drew the grid."""
+        from repro.ruler.stats import SynthesisPerf
+
+        evaluator = self._evaluators.get(key)
+        if evaluator is None:
+            evaluator = CvecEvaluator(self.interpreter, make_envs())
+            self._evaluators[key] = evaluator
+        evaluator.perf = perf if perf is not None else SynthesisPerf()
+        return evaluator
+
+    def samples(
+        self, names: tuple, n_random: int, seed: int, perf=None
+    ) -> CvecEvaluator:
+        """The evaluator over ``sample_envs(names, n_random, seed)``."""
+        return self.evaluator(
+            ("samples", names, n_random, seed),
+            lambda: sample_envs(names, n_random=n_random, seed=seed),
+            perf,
+        )
+
+    def clear(self) -> None:
+        """Drop every grid and its cached rows."""
+        self._evaluators.clear()

@@ -26,7 +26,9 @@ producing up to four full-width rules:
 Generalizing lane-wise is unsound for instructions with cross-lane
 behaviour, so every expanded rule is re-verified on the full-width
 interpreter (:func:`repro.ruler.verify.verify_vector_rule`) before
-acceptance, mirroring the paper's formal re-verification step.
+acceptance, mirroring the paper's formal re-verification step.  The
+checks run as one pass over shared per-signature sample grids
+(:func:`repro.ruler.verify.verify_rules`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.lang.pattern import instantiate, suffix_wildcards, wildcards_of
 from repro.lang.term import Term
 from repro.ruler.candidates import canonical_wildcards
 from repro.ruler.stats import SynthesisPerf
-from repro.ruler.verify import verify_rule, verify_vector_rule
+from repro.ruler.verify import verify_rules
 
 
 @dataclass
@@ -160,11 +162,15 @@ def generalize_rules(
 ) -> tuple[list[Rewrite], GeneralizationReport]:
     """Expand verified single-lane rules to full width (see module doc).
 
-    ``perf`` (optional) collects the re-verification batching counters.
+    Every expanded rule is collected first, then all of them are
+    re-verified in one :func:`~repro.ruler.verify.verify_rules` pass
+    that shares a sample grid per wildcard signature; accepted rules
+    are numbered in emission order.  ``perf`` (optional) collects the
+    re-verification batching counters.
     """
     report = GeneralizationReport(n_input_rules=len(rules))
     seen: set[tuple[Term, Term]] = set()
-    out: list[Rewrite] = []
+    emitted: list[tuple[str, Term, Term, bool]] = []
 
     def emit(name: str, lhs: Term, rhs: Term, vector: bool) -> None:
         if lhs == rhs:
@@ -176,16 +182,7 @@ def generalize_rules(
         if key in seen:
             return
         seen.add(key)
-        if vector:
-            check = verify_vector_rule(lhs, rhs, spec, perf=perf)
-        else:
-            check = verify_rule(lhs, rhs, spec, perf=perf)
-        if not check.ok:
-            report.n_rejected += 1
-            report.rejected.append((name, lhs, rhs, check.detail))
-            return
-        out.append(Rewrite(f"{name}-{len(out)}", lhs, rhs))
-        report.n_generated += 1
+        emitted.append((name, lhs, rhs, vector))
 
     # Canonical lift per vector instruction, straight from the ISA's
     # scalar<->vector correspondence.  Rule minimization can (rightly)
@@ -237,4 +234,17 @@ def generalize_rules(
         for name, p_lhs, p_rhs in _padding_rules(rule, spec):
             emit(name, p_lhs, p_rhs, vector=True)
 
+    checks = verify_rules(
+        [(lhs, rhs, vector) for _, lhs, rhs, vector in emitted],
+        spec,
+        perf=perf,
+    )
+    out: list[Rewrite] = []
+    for (name, lhs, rhs, _), check in zip(emitted, checks):
+        if not check.ok:
+            report.n_rejected += 1
+            report.rejected.append((name, lhs, rhs, check.detail))
+            continue
+        out.append(Rewrite(f"{name}-{len(out)}", lhs, rhs))
+        report.n_generated += 1
     return out, report

@@ -27,10 +27,9 @@ import time
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import RunnerLimits, run_saturation
-from repro.interp.env import sample_envs
 from repro.interp.interpreter import EvalError, Interpreter
 from repro.lang.pattern import wildcards_of
-from repro.ruler.cvec import CvecEvaluator, legacy_cvec_requested
+from repro.ruler.cvec import GridCache, legacy_cvec_requested
 from repro.ruler.stats import SynthesisPerf
 from repro.ruler.verify import pattern_to_term
 
@@ -95,27 +94,20 @@ def _cvec_screen(
 
     One cached DAG walk per rule side — far cheaper than the
     saturation pass each surviving candidate costs downstream.
-    Evaluators (and their sample environments) are cached per
-    wildcard-name signature: most rules share ``(?a, ?b)``-style
-    signatures, so the cache also pools cvec rows across rules.
+    Sample grids (and their evaluators) are shared per wildcard-name
+    signature through one :class:`GridCache`: most rules share
+    ``(?a, ?b)``-style signatures, so the cache also pools cvec rows
+    across rules.
     """
     kept: list[Rewrite] = []
-    evaluators: dict[tuple[str, ...], CvecEvaluator] = {}
+    grids = GridCache(interpreter)
     for rule in candidates:
         names = tuple(
             sorted(
                 set(wildcards_of(rule.lhs)) | set(wildcards_of(rule.rhs))
             )
         )
-        evaluator = evaluators.get(names)
-        if evaluator is None:
-            envs = sample_envs(names, n_random=n_samples, seed=seed)
-            evaluator = CvecEvaluator(interpreter, envs, perf=perf)
-            evaluators[names] = evaluator
-            if perf is not None:
-                perf.screen_env_cache_misses += 1
-        elif perf is not None:
-            perf.screen_env_cache_hits += 1
+        evaluator = grids.samples(names, n_samples, seed, perf)
         try:
             left = evaluator.fingerprint_of(
                 evaluator.row_of(pattern_to_term(rule.lhs))
@@ -130,6 +122,9 @@ def _cvec_screen(
             kept.append(rule)
         elif perf is not None:
             perf.minimize_screened += 1
+    if perf is not None:
+        perf.screen_env_cache_misses += len(grids)
+        perf.screen_env_cache_hits += len(candidates) - len(grids)
     return kept
 
 

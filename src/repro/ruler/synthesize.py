@@ -21,7 +21,7 @@ from repro.ruler.cost_prune import (
     cost_prune_rules,
     legacy_costprune_requested,
 )
-from repro.ruler.cvec import CvecSpec
+from repro.ruler.cvec import CvecSpec, GridCache
 from repro.ruler.enumerate import enumerate_terms
 from repro.ruler.lanes import GeneralizationReport, generalize_rules
 from repro.ruler.minimize import minimize_rules
@@ -39,7 +39,11 @@ class _VerifyTask:
 
     Chunked so each worker reports one perf-counter block per fan-out
     (merged back into the run's :class:`SynthesisPerf`) instead of
-    shipping counters per rule.
+    shipping counters per rule.  A chunk's checks share sample grids
+    per signature through ``grids``: the serial path passes one
+    :class:`GridCache` for the whole stage, and each worker chunk
+    builds its own.  The task never holds a cache, so pickling it for
+    a worker ships the spec and two numbers, not every cached row.
     """
 
     __slots__ = ("_spec", "_n_samples", "_seed")
@@ -50,9 +54,11 @@ class _VerifyTask:
         self._seed = seed
 
     def __call__(
-        self, rules: tuple
+        self, rules: tuple, grids: GridCache | None = None
     ) -> tuple[list[bool], SynthesisPerf]:
         perf = SynthesisPerf()
+        if grids is None:
+            grids = GridCache(self._spec.interpreter())
         oks = [
             verify_rule(
                 rule.lhs,
@@ -61,6 +67,7 @@ class _VerifyTask:
                 n_samples=self._n_samples,
                 seed=self._seed,
                 perf=perf,
+                grids=grids,
             ).ok
             for rule in rules
         ]
@@ -240,6 +247,7 @@ def _synthesize_rules(
     verify_task = _VerifyTask(
         spec, config.n_verify_samples, config.verify_seed
     )
+    grids = GridCache(spec.interpreter())  # for chunks run in process
     workers = parallel_workers()
     if workers > 1 and len(candidates) >= _PARALLEL_VERIFY_MIN:
         # With no deadline, one fan-out covers everything; under a
@@ -262,7 +270,7 @@ def _synthesize_rules(
             for i in range(0, len(batch), per_worker)
         ]
         results = (
-            [verify_task(pieces[0])]
+            [verify_task(pieces[0], grids)]
             if len(pieces) == 1
             else parallel_map(verify_task, pieces, max_workers=workers)
         )
@@ -276,6 +284,7 @@ def _synthesize_rules(
             else:
                 n_unsound += 1
         index += chunk
+    grids.clear()  # the stage's rows are dead weight from here on
     stage_times["verify"] = time.monotonic() - t0
     if tracer.enabled:
         tracer.record(

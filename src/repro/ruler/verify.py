@@ -19,10 +19,14 @@ a disjoint, larger input set (different seed, more samples).
 
 Fuzzing reuses the batched :class:`~repro.ruler.cvec.CvecEvaluator`:
 each rule side is one cached DAG walk over the whole sample grid
-instead of ``n_samples`` independent tree interpretations.  A side the
-batched path cannot evaluate (an :class:`EvalError` mid-grid) falls
-back to the historical per-environment loop, which also runs outright
-under ``REPRO_LEGACY_CVEC=1`` — either way the verdict, method and
+instead of ``n_samples`` independent tree interpretations.  A check's
+grid depends only on its signature (check kind, wildcard names and
+kinds, sample count, seed), so a pass of many checks shares one grid
+and one row cache per signature (:class:`~repro.ruler.cvec.GridCache`,
+:func:`verify_rules`).  A side the batched path cannot evaluate (an
+:class:`EvalError` mid-grid) falls back to the historical
+per-environment loop, which also runs outright under
+``REPRO_LEGACY_CVEC=1`` — either way the verdict, method and
 counterexample are identical.
 """
 
@@ -30,15 +34,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
-from repro.interp.env import sample_envs
 from repro.interp.interpreter import EvalError, Interpreter
 from repro.interp.value import UNDEFINED, values_equal
 from repro.isa.spec import IsaSpec
 from repro.lang import term as T
 from repro.lang.pattern import wildcards_of
 from repro.lang.term import Term
-from repro.ruler.cvec import CvecEvaluator, legacy_cvec_requested
+from repro.ruler.cvec import (
+    CvecEvaluator,
+    GridCache,
+    legacy_cvec_requested,
+)
 from repro.ruler.stats import SynthesisPerf
 
 # Ops whose lane semantics are polynomial in their inputs.
@@ -249,11 +257,13 @@ def verify_rule(
     n_samples: int = 64,
     seed: int = 12345,
     perf: SynthesisPerf | None = None,
+    grids: GridCache | None = None,
 ) -> VerifyResult:
     """Check that ``lhs ~> rhs`` is sound under the ISA semantics.
 
     ``perf`` (optional) collects how many rule sides took the batched
-    vs per-environment fuzz path.
+    vs per-environment fuzz path.  ``grids`` (optional) is the pass's
+    shared :class:`GridCache`; without one the check draws its own.
     """
     poly_l = polynomial_of(lhs, spec)
     if poly_l is not None:
@@ -282,85 +292,23 @@ def verify_rule(
     if rationally_equal:
         n_samples = min(n_samples, 12)
 
-    interpreter = spec.interpreter()
-    names = sorted(set(wildcards_of(lhs)) | set(wildcards_of(rhs)))
-    lhs_term, rhs_term = pattern_to_term(lhs), pattern_to_term(rhs)
-    # The sample grid depends on the rule's own variable names, so each
-    # rule gets a fresh evaluator — sharing one across rules would
-    # change the fuzz inputs and could flip verdicts vs the legacy path.
-    envs = tuple(sample_envs(tuple(names), n_random=n_samples, seed=seed))
-    if not legacy_cvec_requested():
-        result = _fuzz_batched(
-            lhs_term, rhs_term, interpreter, envs, rationally_equal, perf
-        )
-        if result is not None:
-            return result
-        # Batched evaluation raised mid-grid; the serial loop below
-        # reproduces the legacy outcome (a counterexample found before
-        # the failing environment, or the same error).
-    if perf is not None:
-        perf.verify_legacy_terms += 2
-    return _fuzz_serial(
-        lhs_term, rhs_term, interpreter, envs, rationally_equal
-    )
-
-
-def _fuzz_batched(
-    lhs_term: Term,
-    rhs_term: Term,
-    interpreter: Interpreter,
-    envs: tuple,
-    rationally_equal: bool,
-    perf: SynthesisPerf | None,
-) -> VerifyResult | None:
-    """Fuzz both sides as cached value rows; None means fall back."""
-    evaluator = CvecEvaluator(interpreter, envs, perf=perf)
-    try:
-        left_row = evaluator.row_of(lhs_term)
-        right_row = evaluator.row_of(rhs_term)
-    except EvalError:
-        return None
-    if perf is not None:
-        perf.verify_batched_terms += 2
-    if rationally_equal:
-        # Values already proven equal; only undefinedness agreement
-        # remains to check.
-        for env, left, right in zip(envs, left_row, right_row):
-            if (left is UNDEFINED) != (right is UNDEFINED):
-                return VerifyResult(
-                    False, "exact", f"definedness mismatch on {env}"
-                )
-        return VerifyResult(True, "exact")
-    for env, left, right in zip(envs, left_row, right_row):
-        if not values_equal(left, right):
-            return VerifyResult(
-                False,
-                "fuzz",
-                f"counterexample {env}: {left!r} != {right!r}",
-            )
-    return VerifyResult(True, "fuzz")
-
-
-def _fuzz_serial(
-    lhs_term: Term,
-    rhs_term: Term,
-    interpreter: Interpreter,
-    envs: tuple,
-    rationally_equal: bool,
-) -> VerifyResult:
-    """The historical per-environment fuzz loop (legacy path and the
-    fallback when batched evaluation errors mid-grid)."""
-    for env in envs:
-        left = interpreter.evaluate(lhs_term, env)
-        right = interpreter.evaluate(rhs_term, env)
+    if grids is None:
+        grids = GridCache(spec.interpreter())
+    # The grid is a function of (names, effective sample count, seed)
+    # alone: rules with one signature fuzz the same inputs whether or
+    # not they share the cache, and sharing it across signatures
+    # would change them.
+    names = _rule_names(lhs, rhs)
+    evaluator = grids.samples(names, n_samples, seed, perf)
+    for env, left, right in _side_values(
+        pattern_to_term(lhs), pattern_to_term(rhs), grids, evaluator, perf
+    ):
         if rationally_equal:
             # Values already proven equal; only undefinedness
             # agreement remains to check.
             if (left is UNDEFINED) != (right is UNDEFINED):
                 return VerifyResult(
-                    False,
-                    "exact",
-                    f"definedness mismatch on {env}",
+                    False, "exact", f"definedness mismatch on {env}"
                 )
             continue
         if not values_equal(left, right):
@@ -372,6 +320,77 @@ def _fuzz_serial(
     return VerifyResult(True, "exact" if rationally_equal else "fuzz")
 
 
+def _side_values(
+    lhs_term: Term,
+    rhs_term: Term,
+    grids: GridCache,
+    evaluator: CvecEvaluator,
+    perf: SynthesisPerf | None,
+):
+    """``(env, left, right)`` over the evaluator's grid (one of
+    ``grids``), in order.
+
+    Both sides evaluate as cached batched rows.  Under
+    ``REPRO_LEGACY_CVEC=1``, or when batched evaluation raises an
+    :class:`EvalError` mid-grid, the historical per-environment loop
+    runs instead; it yields lazily, so a counterexample found before
+    the failing environment ends the check exactly as it always did
+    (and a later one re-raises the error).  Rows cached before a
+    failing node stay valid for later rules.
+    """
+    envs = evaluator.envs
+    if not legacy_cvec_requested():
+        try:
+            rows = evaluator.row_of(lhs_term), evaluator.row_of(rhs_term)
+        except EvalError:
+            pass
+        else:
+            if perf is not None:
+                perf.verify_batched_terms += 2
+            return zip(envs, *rows)
+    if perf is not None:
+        perf.verify_legacy_terms += 2
+    evaluate = grids.interpreter.evaluate
+    return (
+        (env, evaluate(lhs_term, env), evaluate(rhs_term, env))
+        for env in envs
+    )
+
+
+def _rule_names(lhs: Term, rhs: Term) -> tuple:
+    """The rule's wildcard names, sorted (its grid's variables)."""
+    return tuple(sorted(set(wildcards_of(lhs)) | set(wildcards_of(rhs))))
+
+
+def _full_width_signature(lhs: Term, rhs: Term, spec: IsaSpec) -> tuple:
+    """A full-width check's wildcard names, their inferred kinds, and
+    the per-name vector flags its grids are drawn from."""
+    names = _rule_names(lhs, rhs)
+    kinds = _wildcard_kinds(lhs, spec)
+    return names, kinds, tuple(kinds.get(name) == "vector" for name in names)
+
+
+def _random_lane(rng) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+
+def _vector_envs(
+    names: tuple, vectors: tuple, width: int, n_samples: int, seed: int
+) -> list:
+    """The full-width check's grid: random vectors or scalars per name."""
+    rng = Random(seed)
+    envs = []
+    for _ in range(n_samples):
+        env = {}
+        for name, vector in zip(names, vectors):
+            if vector:
+                env[name] = tuple(_random_lane(rng) for _ in range(width))
+            else:
+                env[name] = _random_lane(rng)
+        envs.append(env)
+    return envs
+
+
 def verify_vector_rule(
     lhs: Term,
     rhs: Term,
@@ -379,65 +398,30 @@ def verify_vector_rule(
     n_samples: int = 16,
     seed: int = 54321,
     perf: SynthesisPerf | None = None,
+    grids: GridCache | None = None,
 ) -> VerifyResult:
     """Full-width check of a generalized rule (§3.1's re-verification).
 
     Wildcards are bound to random *vectors*; lanes evaluate through the
     real lane-wise interpreter, so any cross-lane unsoundness
     introduced by generalization is caught here.  Like
-    :func:`verify_rule`, both sides evaluate as cached batched rows,
-    with the per-environment loop as the legacy path and error
-    fallback.
+    :func:`verify_rule`, both sides evaluate as cached batched rows on
+    the pass's shared grid, with the per-environment loop as the
+    legacy path and error fallback.
     """
-    from random import Random
-
-    interpreter = spec.interpreter()
+    if grids is None:
+        grids = GridCache(spec.interpreter())
     width = spec.vector_width
-    names = sorted(set(wildcards_of(lhs)) | set(wildcards_of(rhs)))
+    names, kinds, vectors = _full_width_signature(lhs, rhs, spec)
     lhs_term, rhs_term = pattern_to_term(lhs), pattern_to_term(rhs)
-    rng = Random(seed)
-
-    kinds = _wildcard_kinds(lhs, spec)
-    envs = []
-    for _ in range(n_samples):
-        env = {}
-        for name in names:
-            if kinds.get(name) == "vector":
-                env[name] = tuple(
-                    Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-                    for _ in range(width)
-                )
-            else:
-                env[name] = Fraction(
-                    rng.randint(-6, 6), rng.choice((1, 2, 3))
-                )
-        envs.append(env)
-
-    rows = None
-    if not legacy_cvec_requested():
-        evaluator = CvecEvaluator(interpreter, envs, perf=perf)
-        try:
-            rows = (
-                evaluator.row_of(lhs_term), evaluator.row_of(rhs_term)
-            )
-        except EvalError:
-            rows = None  # serial loop reproduces the legacy outcome
-    if rows is not None:
-        if perf is not None:
-            perf.verify_batched_terms += 2
-        pairs = zip(envs, rows[0], rows[1])
-    else:
-        if perf is not None:
-            perf.verify_legacy_terms += 2
-        pairs = (
-            (
-                env,
-                interpreter.evaluate(lhs_term, env),
-                interpreter.evaluate(rhs_term, env),
-            )
-            for env in envs
-        )
-    for env, left, right in pairs:
+    evaluator = grids.evaluator(
+        ("vector", names, vectors, width, n_samples, seed),
+        lambda: _vector_envs(names, vectors, width, n_samples, seed),
+        perf,
+    )
+    for env, left, right in _side_values(
+        lhs_term, rhs_term, grids, evaluator, perf
+    ):
         if left is UNDEFINED and right is UNDEFINED:
             continue
         if not values_equal(left, right):
@@ -448,11 +432,44 @@ def verify_vector_rule(
             )
     if spec.masked:
         failure = _verify_masked_projection(
-            lhs_term, rhs_term, interpreter, names, kinds, width, seed
+            lhs_term, rhs_term, grids.interpreter, names, kinds, width,
+            seed, grids=grids, perf=perf,
         )
         if failure is not None:
             return failure
     return VerifyResult(True, "fuzz")
+
+
+def _projection_actives(width: int, n_envs: int) -> list:
+    """Each masked re-check environment's active-lane count, in grid
+    order: ``n_envs`` environments per prefix mask."""
+    return [
+        active
+        for active in sorted({1, max(1, width - 1)})
+        for _ in range(n_envs)
+    ]
+
+
+def _projection_envs(
+    names: tuple, vectors: tuple, width: int, seed: int, actives: list
+) -> list:
+    """The masked re-check's grid: random lanes, with every lane past
+    the environment's active prefix scrambled with out-of-distribution
+    junk."""
+    rng = Random(seed ^ 0x6D61736B)  # "mask"
+    envs = []
+    for active in actives:
+        env = {}
+        for name, vector in zip(names, vectors):
+            if vector:
+                lanes = [_random_lane(rng) for _ in range(width)]
+                for lane in range(active, width):
+                    lanes[lane] = Fraction(rng.randint(-97, 97))
+                env[name] = tuple(lanes)
+            else:
+                env[name] = _random_lane(rng)
+        envs.append(env)
+    return envs
 
 
 def _verify_masked_projection(
@@ -464,6 +481,8 @@ def _verify_masked_projection(
     width: int,
     seed: int,
     n_envs: int = 4,
+    grids: GridCache | None = None,
+    perf: SynthesisPerf | None = None,
 ) -> VerifyResult | None:
     """Masked re-check for predicated ISAs; None means it passed.
 
@@ -474,48 +493,73 @@ def _verify_masked_projection(
     still agree on the *active* prefix — catching any generalized rule
     that would smuggle inactive-lane data into active lanes.  Lane-wise
     rules pass trivially; the check exists for cross-lane custom
-    instructions.
+    instructions.  Both sides evaluate as batched rows on the pass's
+    shared projection grid (``grids``, which must be over
+    ``interpreter``).
     """
-    from random import Random
-
-    rng = Random(seed ^ 0x6D61736B)  # "mask"
-    for active in sorted({1, max(1, width - 1)}):
-        for _ in range(n_envs):
-            env = {}
-            for name in names:
-                if kinds.get(name) == "vector":
-                    lanes = [
-                        Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-                        for _ in range(width)
-                    ]
-                    for lane in range(active, width):
-                        lanes[lane] = Fraction(rng.randint(-97, 97))
-                    env[name] = tuple(lanes)
-                else:
-                    env[name] = Fraction(
-                        rng.randint(-6, 6), rng.choice((1, 2, 3))
-                    )
-            left = interpreter.evaluate(lhs_term, env)
-            right = interpreter.evaluate(rhs_term, env)
-            if left is UNDEFINED or right is UNDEFINED:
-                # Junk in an inactive lane made a side undefined; a
-                # masked machine would not execute that lane, so this
-                # environment proves nothing either way.
-                continue
-            left_prefix = (
-                left[:active] if isinstance(left, tuple) else left
+    if grids is None:
+        grids = GridCache(interpreter)
+    names = tuple(names)
+    vectors = tuple(kinds.get(name) == "vector" for name in names)
+    actives = _projection_actives(width, n_envs)
+    evaluator = grids.evaluator(
+        ("mask", names, vectors, width, n_envs, seed),
+        lambda: _projection_envs(names, vectors, width, seed, actives),
+        perf,
+    )
+    triples = _side_values(lhs_term, rhs_term, grids, evaluator, perf)
+    for active, (env, left, right) in zip(actives, triples):
+        if left is UNDEFINED or right is UNDEFINED:
+            # Junk in an inactive lane made a side undefined; a
+            # masked machine would not execute that lane, so this
+            # environment proves nothing either way.
+            continue
+        left_prefix = left[:active] if isinstance(left, tuple) else left
+        right_prefix = (
+            right[:active] if isinstance(right, tuple) else right
+        )
+        if not values_equal(left_prefix, right_prefix):
+            return VerifyResult(
+                False,
+                "fuzz",
+                f"masked (active={active}) counterexample {env}: "
+                f"{left!r} != {right!r}",
             )
-            right_prefix = (
-                right[:active] if isinstance(right, tuple) else right
-            )
-            if not values_equal(left_prefix, right_prefix):
-                return VerifyResult(
-                    False,
-                    "fuzz",
-                    f"masked (active={active}) counterexample {env}: "
-                    f"{left!r} != {right!r}",
-                )
     return None
+
+
+def verify_rules(
+    checks: list,
+    spec: IsaSpec,
+    perf: SynthesisPerf | None = None,
+) -> list[VerifyResult]:
+    """Verdicts for ``(lhs, rhs, vector)`` checks, in input order.
+
+    Each check is :func:`verify_vector_rule` when ``vector`` is true
+    and :func:`verify_rule` otherwise, with the same answer as a
+    one-off call.  Checks run grouped by grid signature — the check
+    kind and the wildcard names (and, at full width, their kinds) —
+    over one :class:`GridCache`, whose rows are freed after each
+    group's last check so only one signature's rows are alive at a
+    time.
+    """
+    grids = GridCache(spec.interpreter())
+    groups: dict[tuple, list[int]] = {}
+    for index, (lhs, rhs, vector) in enumerate(checks):
+        if vector:
+            names, _, vectors = _full_width_signature(lhs, rhs, spec)
+            key = (True, names, vectors)
+        else:
+            key = (False, _rule_names(lhs, rhs))
+        groups.setdefault(key, []).append(index)
+    results: list = [None] * len(checks)
+    for indices in groups.values():
+        for index in indices:
+            lhs, rhs, vector = checks[index]
+            check = verify_vector_rule if vector else verify_rule
+            results[index] = check(lhs, rhs, spec, perf=perf, grids=grids)
+        grids.clear()
+    return results
 
 
 def _wildcard_kinds(pattern: Term, spec: IsaSpec) -> dict:

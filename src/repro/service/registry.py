@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 from pathlib import Path
 
 from repro.core.artifact import (
@@ -143,6 +144,11 @@ class ArtifactRegistry:
             self.specs.update(specs)
         self._compilers: dict = {}
         self._spec_cache: dict = {}
+        # One lock per semantics hash serializes that ISA's slow
+        # resolution path (artifact scan or bootstrap); _locks_guard
+        # protects the lock table itself.
+        self._locks: dict = {}
+        self._locks_guard = threading.Lock()
 
     # -- layout ----------------------------------------------------------
 
@@ -236,14 +242,33 @@ class ArtifactRegistry:
         re-generalized at the target width for every other family
         (:func:`~repro.core.pregen.family_compiler`) — which is
         immediately published so the next process finds it as an
-        artifact.  No path runs rule synthesis.
+        artifact.  No path runs rule synthesis.  Concurrent callers
+        for one ISA wait for a single resolution and share its entry;
+        the memo hit takes no lock.
         """
-        from repro.isa.families import bundled_spec_factories
-
         spec = self.spec_for(isa)
         memo_key = spec_semantics_hash(spec)
-        if memo_key in self._compilers:
-            return self._compilers[memo_key]
+        entry = self._compilers.get(memo_key)
+        if entry is not None:
+            return entry
+        # The server resolves ISAs from executor threads: without the
+        # lock, concurrent first requests would each bootstrap the ISA
+        # and the last would overwrite the others' entries.
+        with self._locks_guard:
+            lock = self._locks.setdefault(memo_key, threading.Lock())
+        with lock:
+            entry = self._compilers.get(memo_key)
+            if entry is None:
+                entry = self._resolve(isa, spec, memo_key)
+                self._compilers[memo_key] = entry
+        return entry
+
+    def _resolve(
+        self, isa: str, spec: IsaSpec, memo_key: str
+    ) -> RegistryEntry:
+        """:meth:`entry_for`'s slow path: load or bootstrap the entry."""
+        from repro.isa.families import bundled_spec_factories
+
         artifact = self.find_artifact(spec)
         if artifact is not None:
             compiler = artifact.to_compiler(spec)
@@ -266,9 +291,7 @@ class ArtifactRegistry:
                 f"(semantics {memo_key}); run `repro-artifact build` "
                 "and publish into the registry"
             )
-        entry = RegistryEntry(isa, spec, compiler, artifact.fingerprint)
-        self._compilers[memo_key] = entry
-        return entry
+        return RegistryEntry(isa, spec, compiler, artifact.fingerprint)
 
     def compiler_for(self, isa: str):
         """A warm ``GeneratedCompiler`` for an ISA name (see

@@ -383,6 +383,139 @@ class TestMaskedVerification:
             lhs, lhs, interpreter, names, kinds, 4, seed=1
         ) is None
 
+    @staticmethod
+    def _projection_outcome(monkeypatch, path, *args, **kwargs):
+        """The projection's result (or error message): ``"batched"``,
+        ``"serial"`` (the per-environment path) or ``"oracle"`` (the
+        one-tree-walk-per-environment projection it replaced)."""
+        from generalize_oracle import oracle_masked_projection
+        from repro.interp.interpreter import EvalError
+        from repro.ruler.verify import _verify_masked_projection
+
+        check = _verify_masked_projection
+        if path == "oracle":
+            check = oracle_masked_projection
+        if path == "serial":
+            monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
+        else:
+            monkeypatch.delenv("REPRO_LEGACY_CVEC", raising=False)
+        try:
+            return check(*args, **kwargs)
+        except EvalError as exc:
+            return f"EvalError: {exc}"
+
+    def _all_paths(self, monkeypatch, *args, **kwargs):
+        """The outcome on every path, asserted equal."""
+        batched, serial, oracle = (
+            self._projection_outcome(monkeypatch, path, *args, **kwargs)
+            for path in ("batched", "serial", "oracle")
+        )
+        assert batched == serial == oracle
+        return batched
+
+    @staticmethod
+    def _rows_raise(interpreter, lhs, rhs, names, kinds, width, seed):
+        """True when batched evaluation of the pair's projection grid
+        raises mid-grid (so the check falls back per environment)."""
+        from repro.interp.interpreter import EvalError
+        from repro.ruler.cvec import CvecEvaluator
+        from repro.ruler.verify import _projection_actives, _projection_envs
+
+        vectors = tuple(kinds.get(name) == "vector" for name in names)
+        actives = _projection_actives(width, 4)
+        envs = _projection_envs(tuple(names), vectors, width, seed, actives)
+        evaluator = CvecEvaluator(interpreter, envs)
+        try:
+            evaluator.row_of(lhs)
+            evaluator.row_of(rhs)
+        except EvalError:
+            return True
+        return False
+
+    def test_projection_batched_matches_serial_on_smuggling(
+        self, monkeypatch
+    ):
+        spec = masked_spec(4)
+        interpreter = spec.interpreter()
+        names = ["x0", "x1", "x2", "x3"]
+        kinds = {name: "scalar" for name in names}
+        lanes = [T.symbol(name) for name in names]
+        lhs = B.vec(*lanes)
+        swapped = B.vec(lanes[3], lanes[1], lanes[2], lanes[0])
+        args = (lhs, swapped, interpreter, names, kinds, 4)
+        outcome = self._all_paths(monkeypatch, *args, seed=1)
+        assert outcome is not None and "masked (active=1)" in outcome.detail
+
+    def test_projection_skips_env_made_undefined_by_junk(self, monkeypatch):
+        # x + 7 is positive on every active lane (drawn from [-6, 6])
+        # but often negative on a junk lane, whose sqrt then makes the
+        # left side UNDEFINED (one undefined lane undefines the
+        # vector); such environments prove nothing and are skipped on
+        # every path.
+        from repro.interp.value import UNDEFINED
+        from repro.lang.parser import parse
+        from repro.ruler.verify import _projection_actives, _projection_envs
+
+        spec = masked_spec(4)
+        interpreter = spec.interpreter()
+        lhs = parse(
+            "(VecAdd x (VecMul (VecSqrt (VecAdd x (Vec 7 7 7 7)))"
+            " (Vec 0 0 0 0)))"
+        )
+        rhs = parse("x")
+        names, kinds = ["x"], {"x": "vector"}
+        envs = _projection_envs(
+            ("x",), (True,), 4, 7, _projection_actives(4, 4)
+        )
+        left = [interpreter.evaluate(lhs, env) for env in envs]
+        assert UNDEFINED in left
+        assert any(value is not UNDEFINED for value in left)
+        args = (lhs, rhs, interpreter, names, kinds, 4)
+        assert self._all_paths(monkeypatch, *args, seed=7) is None
+        # Against a wrong right side, the first environment the left
+        # side defines fails, identically on every path.
+        wrong = parse("(VecNeg x)")
+        args = (lhs, wrong, interpreter, names, kinds, 4)
+        outcome = self._all_paths(monkeypatch, *args, seed=7)
+        assert outcome is not None and outcome.detail.startswith("masked")
+
+    def test_projection_eval_error_falls_back_per_environment(
+        self, monkeypatch
+    ):
+        # A lane function that raises on large values: junk lanes hit
+        # it mid-grid, so batched evaluation raises and the check runs
+        # per environment, reporting whatever that loop reaches first.
+        from repro.interp.interpreter import EvalError
+        from repro.isa.spec import Instruction
+        from repro.lang.ops import OpKind
+        from repro.lang.parser import parse
+
+        def guarded(a):
+            if a > 90:
+                raise EvalError("lane value out of range")
+            return a
+
+        spec = masked_spec(4).extended(
+            [Instruction("VecGuard", 1, OpKind.VECTOR, guarded, 1.0)]
+        )
+        interpreter = spec.interpreter()
+        lhs, rhs = parse("(VecGuard x)"), parse("(VecNeg x)")
+        names, kinds = ["x"], {"x": "vector"}
+        outcomes = set()
+        for seed in range(12):
+            if not self._rows_raise(
+                interpreter, lhs, rhs, names, kinds, 4, seed
+            ):
+                continue
+            args = (lhs, rhs, interpreter, names, kinds, 4)
+            outcome = self._all_paths(monkeypatch, *args, seed=seed)
+            outcomes.add(
+                "error" if isinstance(outcome, str) else "counterexample"
+            )
+        # Both fallback outcomes occur: a counterexample found before
+        # the failing environment, and the error itself.
+        assert outcomes == {"error", "counterexample"}
+
 
 class TestRegistryFamilies:
     def test_known_specs_include_bundled_families(self):
@@ -404,6 +537,53 @@ class TestRegistryFamilies:
         assert (
             again.entry_for("masked-w4").fingerprint == entry.fingerprint
         )
+
+    def test_concurrent_first_requests_bootstrap_once(
+        self, tmp_path, monkeypatch
+    ):
+        import sys
+        import threading
+        import time
+
+        from repro.core import pregen
+        from repro.service.registry import ArtifactRegistry
+
+        real = pregen.family_compiler
+        calls = []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.name)
+            time.sleep(0.05)  # hold the slow path open for the others
+            return real(spec, rules=[])
+
+        monkeypatch.setattr(pregen, "family_compiler", counted)
+        registry = ArtifactRegistry(tmp_path / "reg")
+        n_threads = 6
+        barrier = threading.Barrier(n_threads)
+        entries = [None] * n_threads
+
+        def request(slot):
+            barrier.wait(timeout=30)
+            entries[slot] = registry.entry_for("masked-w4")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=request, args=(slot,))
+                for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == ["masked-w4"]
+        assert all(entry is entries[0] for entry in entries)
+        assert entries[0] is not None
+        assert registry.entry_for("masked-w4") is entries[0]
 
     def test_unknown_isa_still_rejected(self, tmp_path):
         from repro.service.registry import ArtifactRegistry, RegistryError

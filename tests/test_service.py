@@ -253,6 +253,11 @@ class TestServeLoop:
     def test_concurrent_identical_requests_compile_once(self, registry):
         kernel = _vadd()
         options = _quick_options()
+        # Resolve the ISA first: requests that arrive while it
+        # bootstraps wait for that one bootstrap and resume together,
+        # so only a warm registry gives the first request its head
+        # start.
+        registry.entry_for("fusion-g3")
 
         async def body(service, client):
             async with AsyncCompileClient(port=service.port) as second:
