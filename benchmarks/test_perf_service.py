@@ -114,9 +114,7 @@ def _client_loop(port, kernels, options, rounds, barrier, samples):
                 )
 
 
-def test_perf_service(benchmark, tmp_path, monkeypatch):
-    for name in ("REPRO_EXPANSION_CACHE", "REPRO_CHECKPOINT_DIR"):
-        monkeypatch.delenv(name, raising=False)
+def test_perf_service(benchmark, tmp_path):
     kernels = _workload()
     options = _options()
     registry = ArtifactRegistry(tmp_path / "registry")

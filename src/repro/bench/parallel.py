@@ -1,14 +1,11 @@
-"""Process-parallel map/pipeline with deterministic ordering and serial fallback.
+"""Process-parallel map with deterministic ordering and serial fallback.
 
-``parallel_map`` is the repo's main fan-out primitive: the bench
-harness uses it to compile/measure kernels concurrently and rule
-synthesis uses it to verify candidate rules concurrently.
-``parallel_pipeline`` generalizes it to *stateful multi-step* tasks —
-each item is advanced one step at a time, so steps of different items
-overlap in the pool instead of each item monopolizing a worker for
-its whole duration (the phase-pipelined ``compile_many``).  Their
-shared contract is strict so callers never have to reason about
-parallelism:
+``parallel_map`` is the repo's one fan-out primitive: the bench
+harness uses it to compile/measure kernels concurrently, rule
+synthesis uses it to verify candidate rules concurrently, and
+``compile_many`` fans one whole-kernel compile per task through
+``parallel_starmap``.  The contract is strict so callers never have
+to reason about parallelism:
 
 - **Deterministic ordering**: results always come back in input order,
   regardless of completion order.
@@ -29,10 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import time
 from typing import Callable, Iterable, Sequence
-
-from repro.obs import current_tracer
 
 _FALSY = ("0", "false", "no", "off")
 _AUTO = ("", "1", "true", "yes", "on", "auto")
@@ -147,161 +141,3 @@ class _StarCall:
 
     def __call__(self, args):
         return self._fn(*args)
-
-
-# Per-worker pipeline context, installed once by the pool initializer so
-# the (potentially large) shared payload — compiler, options — is
-# pickled once per worker instead of once per step.
-_PIPELINE_CONTEXT = None
-
-
-def _init_pipeline_worker(context) -> None:  # pragma: no cover - in worker
-    _disable_nested_parallelism()
-    global _PIPELINE_CONTEXT
-    _PIPELINE_CONTEXT = context
-
-
-class _PipelineCall:
-    """Picklable one-step adapter; times the step inside the worker."""
-
-    __slots__ = ("_step",)
-
-    def __init__(self, step: Callable):
-        self._step = step
-
-    def __call__(self, state):
-        start = time.perf_counter()
-        state, done = self._step(_PIPELINE_CONTEXT, state)
-        return state, done, time.perf_counter() - start
-
-
-def parallel_pipeline(
-    step: Callable,
-    states: Iterable,
-    max_workers: int | None = None,
-    context=None,
-    task_timeout: float | None = None,
-    labeler: Callable | None = None,
-) -> list:
-    """Advance every item through ``step`` until done, steps interleaved.
-
-    ``step(context, state) -> (state', done)`` advances one item by one
-    stage; the orchestrator resubmits each item until its ``done`` flag
-    comes back true and returns the final states in input order.
-    Because items are scheduled one *stage* at a time, a pool of ``W``
-    workers overlaps stages of different items — item A's phase 3 runs
-    while item B is still in phase 1 — instead of ``parallel_map``'s
-    coarse one-worker-per-item occupancy.
-
-    ``context`` is shipped once per worker via the pool initializer;
-    ``step`` and every state must be picklable.  Any pool failure
-    (creation, pickling, worker crash, ``task_timeout`` expiry)
-    abandons the pool and finishes all unfinished items serially in
-    this process, so the result is identical — only slower.  Each
-    completed stage emits a ``pipeline.stage`` tracer record carrying
-    the in-worker execution time and the queue wait (time the item
-    spent ready-but-unscheduled), labelled via ``labeler(state)``.
-    """
-    states = list(states)
-    tracer = current_tracer()
-
-    def describe(state) -> str:
-        if labeler is None:
-            return ""
-        try:
-            return str(labeler(state))
-        except Exception:
-            return ""
-
-    def finish_serially(state, index: int):
-        done = False
-        while not done:
-            start = time.perf_counter()
-            state, done = step(context, state)
-            tracer.record(
-                "pipeline.stage",
-                time.perf_counter() - start,
-                item=index,
-                label=describe(state),
-                wait_s=0.0,
-                mode="serial",
-            )
-        return state
-
-    workers = parallel_workers(max_workers)
-    if workers <= 1 or len(states) < 2:
-        return [finish_serially(s, i) for i, s in enumerate(states)]
-
-    try:
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(states)),
-            initializer=_init_pipeline_worker,
-            initargs=(context,),
-        )
-    except Exception:
-        return [finish_serially(s, i) for i, s in enumerate(states)]
-
-    call = _PipelineCall(step)
-    results: dict[int, object] = {}
-    pending: dict[concurrent.futures.Future, tuple[int, float]] = {}
-    abandoned = False
-    try:
-        try:
-            for index, state in enumerate(states):
-                future = executor.submit(call, state)
-                pending[future] = (index, time.perf_counter())
-        except Exception:
-            abandoned = True
-            return [finish_serially(s, i) for i, s in enumerate(states)]
-
-        while pending:
-            ready, _ = concurrent.futures.wait(
-                pending,
-                timeout=task_timeout,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            if not ready:  # task_timeout expired with nothing done
-                abandoned = True
-                break
-            for future in ready:
-                index, ready_at = pending.pop(future)
-                try:
-                    state, done, exec_s = future.result()
-                except Exception:
-                    abandoned = True
-                    results[index] = finish_serially(states[index], index)
-                    continue
-                turnaround = time.perf_counter() - ready_at
-                tracer.record(
-                    "pipeline.stage",
-                    exec_s,
-                    item=index,
-                    label=describe(state),
-                    wait_s=max(0.0, turnaround - exec_s),
-                    mode="pool",
-                )
-                if done:
-                    results[index] = state
-                else:
-                    states[index] = state
-                    if not abandoned:
-                        try:
-                            nxt = executor.submit(call, state)
-                            pending[nxt] = (index, time.perf_counter())
-                        except Exception:
-                            abandoned = True
-                            results[index] = finish_serially(state, index)
-            if abandoned:
-                break
-
-        if abandoned:
-            # Cancel what we can, then drive every unfinished item to
-            # completion serially from its latest known state.
-            for future, (index, _) in pending.items():
-                future.cancel()
-            for index in range(len(states)):
-                if index not in results:
-                    results[index] = finish_serially(states[index], index)
-        return [results[i] for i in range(len(states))]
-    finally:
-        executor.shutdown(wait=not abandoned, cancel_futures=abandoned)

@@ -26,13 +26,8 @@ timings are comparable across ablations.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import re
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.compiler.compile import (
@@ -45,23 +40,8 @@ from repro.compiler.compile import (
     _extract,
 )
 from repro.egraph.egraph import EGraph
-from repro.egraph.runner import (
-    Runner,
-    RunnerLimits,
-    RunnerReport,
-    StopReason,
-)
+from repro.egraph.runner import RunnerLimits, RunnerReport, run_saturation
 from repro.egraph.scheduling import ScheduleSpec, schedule_from_env
-from repro.egraph.snapshot import (
-    SaturationCheckpoint,
-    SnapshotError,
-    limits_digest,
-    load_egraph,
-    load_snapshot_meta,
-    rules_digest,
-    save_egraph,
-    term_digest,
-)
 from repro.lang.term import Term
 from repro.obs import current_tracer
 from repro.phases.cost import CostModel
@@ -104,11 +84,6 @@ class CompilationContext:
     egraph: EGraph | None = None
     root: int | None = None
     unphased_report: RunnerReport | None = None
-    # Expansion cache override: None resolves from the environment
-    # (``REPRO_EXPANSION_CACHE``, see :mod:`repro.core.cache`); drivers
-    # and tests can inject an :class:`~repro.core.cache.ExpansionCache`
-    # directly.
-    cache: Any = None
 
     def ensure_report(self) -> CompileReport:
         """The compile report, creating it from ``term``'s cost once."""
@@ -218,423 +193,25 @@ def _run_phase(
     base_limits: RunnerLimits,
     schedule: ScheduleSpec | None,
     frontier: bool = False,
-    label: str | None = None,
 ) -> RunnerReport:
     """One bounded ``EqSat`` call under the active schedule.
 
-    With no schedule this behaves exactly like the historical direct
-    :func:`~repro.egraph.runner.run_saturation` call; with one, the
-    phase's limit overrides apply and a fresh
-    :class:`~repro.egraph.scheduling.TunedScheduler` enforces the
-    per-rule budgets.  Runs through :class:`~repro.egraph.runner.Runner`
-    so that with ``REPRO_CHECKPOINT_DIR`` set the phase becomes
-    *resumable*: any budget-limited stop (iteration, node, or time
-    cap) is written there as a checkpoint named after ``label`` and
-    ``phase``, and a later call on the *same input* with a larger
-    budget continues from the paused state instead of re-running the
-    iterations already paid for.  A phase that genuinely saturates
-    consumes its checkpoint — there is nothing left to resume.
+    With no schedule this is a plain
+    :func:`~repro.egraph.runner.run_saturation` call under the default
+    backoff scheduler; with one, the phase's limit overrides apply and
+    a fresh :class:`~repro.egraph.scheduling.TunedScheduler` enforces
+    the per-rule budgets.
     """
     if schedule is None:
-        limits = base_limits
-        scheduler = None  # Runner defaults to the backoff scheduler
-    else:
-        limits = schedule.limits_for(phase, base_limits)
-        scheduler = schedule.scheduler_for(phase, limits)
-    rules = list(rules)
-    ckpt_path = _phase_checkpoint_path(phase, label)
-    input_digest = None
-    runner = None
-    if ckpt_path is not None:
-        input_digest = load_snapshot_meta(save_egraph(egraph))[0]["digest"]
-        runner = _resume_phase(
-            ckpt_path, egraph, rules, limits, frontier,
-            str(input_digest), _schedule_digest(schedule), phase,
-        )
-    if runner is None:
-        runner = Runner(egraph, rules, limits, scheduler=scheduler,
-                        frontier=frontier)
-    report = runner.run()
-    if ckpt_path is not None:
-        if report.stop_reason is StopReason.SATURATED:
-            # Consumed: a saturated phase has nothing to resume, and a
-            # leftover file would only be stale weight in the directory.
-            ckpt_path.unlink(missing_ok=True)
-        else:
-            _write_phase_checkpoint(
-                runner, phase, label, report, ckpt_path,
-                str(input_digest), _schedule_digest(schedule),
-            )
-    return report
-
-
-def _phase_checkpoint_path(phase: str, label: str | None) -> Path | None:
-    """Where this phase's checkpoint lives, or ``None`` when disabled.
-
-    ``REPRO_CHECKPOINT_DIR`` gates the whole feature; the file is
-    ``<label>-<phase>.ckpt`` (label sanitized; a compile labels its
-    phases ``<kernel>-round<i>``).
-    """
-    raw = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-    if not raw:
-        return None
-    stem = re.sub(r"[^A-Za-z0-9._-]+", "-", f"{label or 'eqsat'}-{phase}")
-    return Path(raw) / f"{stem}.ckpt"
-
-
-def _resume_phase(
-    path: Path,
-    egraph: EGraph,
-    rules: list,
-    limits: RunnerLimits,
-    frontier: bool,
-    input_digest: str,
-    schedule_digest: str,
-    phase: str,
-) -> Runner | None:
-    """A runner continuing ``path``'s paused saturation, or ``None``.
-
-    The checkpoint must match this call exactly: same input e-graph
-    (content digest), same rule list, same frontier mode, same active
-    schedule.  Anything else is a *stale* checkpoint from an earlier
-    compile that happened to share the label — ignored (and
-    overwritten when this phase next pauses), never an error.
-    Unreadable files count as misses too, mirroring the expansion
-    cache's corruption policy.
-    """
-    if not path.exists():
-        return None
-    tracer = current_tracer()
-    try:
-        ckpt = SaturationCheckpoint.load(path)
-    except SnapshotError as exc:
-        tracer.record(
-            "checkpoint.corrupt", 0.0, path=str(path), error=str(exc)
-        )
-        return None
-    if (
-        ckpt.meta.get("input_digest") != input_digest
-        or ckpt.meta.get("schedule_digest") != schedule_digest
-        or ckpt.frontier != frontier
-    ):
-        tracer.record("checkpoint.stale", 0.0, path=str(path), phase=phase)
-        return None
-    try:
-        runner = Runner.resume(ckpt, rules, limits=limits)
-    except SnapshotError as exc:  # taken under a different rule list
-        tracer.record(
-            "checkpoint.stale", 0.0,
-            path=str(path), phase=phase, error=str(exc),
-        )
-        return None
-    # Continue *inside the caller's graph object* so its root id and
-    # later extraction see the resumed state: the digests matched, so
-    # the checkpointed graph shares the caller's id space exactly.
-    egraph.__dict__.clear()
-    egraph.__dict__.update(ckpt.egraph.__dict__)
-    runner.egraph = egraph
-    tracer.record(
-        "checkpoint.resume", 0.0,
-        path=str(path), phase=phase,
-        start_iteration=runner.iterations_done,
+        return run_saturation(egraph, rules, base_limits, frontier=frontier)
+    limits = schedule.limits_for(phase, base_limits)
+    return run_saturation(
+        egraph,
+        rules,
+        limits,
+        scheduler=schedule.scheduler_for(phase, limits),
+        frontier=frontier,
     )
-    return runner
-
-
-def _write_phase_checkpoint(
-    runner: Runner,
-    phase: str,
-    label: str | None,
-    report: RunnerReport,
-    path: Path,
-    input_digest: str,
-    schedule_digest: str,
-) -> None:
-    """Persist a budget-paused saturation for later resumption.
-
-    The meta records the input digest and schedule digest so
-    :func:`_resume_phase` can refuse checkpoints whose provenance does
-    not match.  Checkpoint problems never fail the compile — the
-    phase's partial result is still used exactly as before
-    checkpointing existed.
-    """
-    tracer = current_tracer()
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        runner.checkpoint(
-            meta={
-                "phase": phase,
-                "label": label or "",
-                "stop_reason": report.stop_reason.value,
-                "input_digest": input_digest,
-                "schedule_digest": schedule_digest,
-            }
-        ).save(path)
-    except OSError as exc:
-        tracer.record(
-            "checkpoint.error", 0.0, path=str(path), error=str(exc)
-        )
-        return
-    tracer.record(
-        "checkpoint.write", 0.0,
-        path=str(path), phase=phase,
-        stop_reason=report.stop_reason.value,
-        iterations_done=runner.iterations_done,
-    )
-
-
-def _schedule_digest(schedule: ScheduleSpec | None) -> str:
-    """Digest of the active schedule spec (cache-key component)."""
-    if schedule is None:
-        return "none"
-    blob = json.dumps(schedule.to_dict(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _active_cache(ctx: CompilationContext):
-    """The expansion cache for this compile, or None when disabled."""
-    if ctx.cache is not None:
-        return ctx.cache
-    from repro.core.cache import expansion_cache_from_env
-
-    return expansion_cache_from_env()
-
-
-def _ctx_label(ctx: CompilationContext) -> str:
-    """Human-readable compile label (kernel name when known)."""
-    program = ctx.program
-    name = getattr(program, "name", None)
-    return str(name) if name else "term"
-
-
-def _report_from_cache_meta(meta: dict) -> RunnerReport:
-    """Stand-in report for a phase answered by the expansion cache.
-
-    Iteration details are gone (the saturation never ran here); the
-    stop reason survives via the entry's meta line and ``cached`` marks
-    the substitution for observability.
-    """
-    try:
-        reason = StopReason(str(meta.get("stop_reason")))
-    except ValueError:
-        reason = StopReason.ITERATION_LIMIT
-    return RunnerReport(stop_reason=reason, cached=True)
-
-
-def _advance_round(
-    ctx: CompilationContext,
-    schedule: ScheduleSpec | None,
-    cache,
-    index: int,
-    current: Term,
-    cost_old: float,
-    egraph: EGraph | None,
-    root: int | None,
-) -> tuple[Term, float, EGraph, int, bool]:
-    """One trip around the Fig. 3 expansion→compilation loop.
-
-    The single implementation behind both the in-process
-    :class:`SaturatePass` loop and the staged ``compile_many`` steps —
-    serial and pipelined compiles agree byte-for-byte because they run
-    this same function.  Returns the updated
-    ``(current, cost_old, egraph, root, done)`` loop state; ``done``
-    means the prune criterion says to stop iterating.
-
-    When ``cache`` is an :class:`~repro.core.cache.ExpansionCache` and
-    pruning is on (each round then starts from a fresh e-graph, making
-    every phase a pure function of its inputs), the round's two
-    ``EqSat`` calls are content-addressed: the expansion phase keys on
-    the round-input term digest and the compilation phase chains on
-    the *snapshot digest* of the post-expansion state, so a full hit
-    restores the post-compilation e-graph without running either
-    phase — and an expansion hit followed by a compilation hit never
-    even decompresses the intermediate state.
-    """
-    options = ctx.options
-    ruleset = ctx.ruleset
-    report = ctx.report
-    tracer = current_tracer()
-    label = _ctx_label(ctx)
-    use_cache = cache is not None and options.pruning
-    run_expansion = index >= options.expansion_start_round
-    sched_digest = _schedule_digest(schedule) if use_cache else ""
-    phase_label = f"{label}-round{index}"
-
-    with tracer.span("compile.round", index=index) as round_span:
-        exp_report = None
-        exp_key = None
-        # An expansion-cache hit held as (meta, bytes) — only inflated
-        # if the compilation phase below misses.
-        deferred = None
-        comp_input = None
-        if use_cache:
-            comp_input = "term:" + term_digest(current)
-
-        if run_expansion:
-            if use_cache:
-                exp_key = cache.phase_key(
-                    "expansion",
-                    comp_input,
-                    rules_digest(list(ruleset.expansion)),
-                    limits_digest(options.expansion_limits),
-                    sched_digest,
-                    False,
-                )
-                deferred = cache.load_entry(exp_key)
-            if deferred is None:
-                if options.pruning or egraph is None:
-                    egraph = EGraph()
-                    root = egraph.add_term(current)
-                with tracer.span("phase.expansion"):
-                    exp_report = _run_phase(
-                        egraph, list(ruleset.expansion), "expansion",
-                        options.expansion_limits, schedule,
-                        label=phase_label,
-                    )
-                if use_cache:
-                    data = cache.store(
-                        exp_key, egraph,
-                        meta={
-                            "kernel": label,
-                            "phase": "expansion",
-                            "root": root,
-                            "stop_reason": exp_report.stop_reason.value,
-                        },
-                    )
-                    comp_input = (
-                        "snap:" + str(load_snapshot_meta(data)[0]["digest"])
-                    )
-            else:
-                exp_report = _report_from_cache_meta(deferred[0])
-                comp_input = "snap:" + str(deferred[0]["digest"])
-                egraph = None  # state stays compressed in ``deferred``
-        elif options.pruning or egraph is None:
-            egraph = EGraph()
-            root = egraph.add_term(current)
-
-        comp_report = None
-        comp_key = None
-        if use_cache:
-            comp_key = cache.phase_key(
-                "compilation",
-                comp_input,
-                rules_digest(list(ruleset.compilation)),
-                limits_digest(options.compilation_limits),
-                sched_digest,
-                True,
-            )
-            entry = cache.load_entry(comp_key)
-            if entry is not None:
-                pair = cache.restore(entry[1])
-                if pair is not None:
-                    egraph, comp_meta = pair
-                    root = int(comp_meta["root"])
-                    comp_report = _report_from_cache_meta(entry[0])
-                # A corrupt body falls through to the live phase run,
-                # whose store below overwrites the bad entry.
-
-        if comp_report is None:
-            if egraph is None:
-                # Expansion hit but compilation missed: inflate the
-                # deferred post-expansion snapshot (or, if its body is
-                # corrupt, rebuild and run the phase live after all).
-                pair = cache.restore(deferred[1])
-                if pair is not None:
-                    egraph, exp_meta = pair
-                    root = int(exp_meta["root"])
-                else:
-                    egraph = EGraph()
-                    root = egraph.add_term(current)
-                    with tracer.span("phase.expansion"):
-                        exp_report = _run_phase(
-                            egraph, list(ruleset.expansion), "expansion",
-                            options.expansion_limits, schedule,
-                            label=phase_label,
-                        )
-                    data = cache.store(
-                        exp_key, egraph,
-                        meta={
-                            "kernel": label,
-                            "phase": "expansion",
-                            "root": root,
-                            "stop_reason": exp_report.stop_reason.value,
-                        },
-                    )
-                    comp_input = (
-                        "snap:" + str(load_snapshot_meta(data)[0]["digest"])
-                    )
-                    comp_key = cache.phase_key(
-                        "compilation",
-                        comp_input,
-                        rules_digest(list(ruleset.compilation)),
-                        limits_digest(options.compilation_limits),
-                        sched_digest,
-                        True,
-                    )
-            # Frontier matching: compilation rules chain (each lift
-            # mints the Vec literal the next lift fires on), so after
-            # the first sweep the budget goes to newly created
-            # structure instead of re-matching the expansion phase's
-            # variants.
-            with tracer.span("phase.compilation"):
-                comp_report = _run_phase(
-                    egraph,
-                    list(ruleset.compilation),
-                    "compilation",
-                    options.compilation_limits,
-                    schedule,
-                    frontier=True,
-                    label=phase_label,
-                )
-            if use_cache:
-                cache.store(
-                    comp_key, egraph,
-                    meta={
-                        "kernel": label,
-                        "phase": "compilation",
-                        "root": root,
-                        "stop_reason": comp_report.stop_reason.value,
-                    },
-                )
-
-        cost_new, extracted = _extract(egraph, root, ctx.cost_model, report)
-        report.peak_nodes = max(report.peak_nodes, egraph.n_nodes)
-        report.rounds.append(
-            RoundReport(
-                index=index,
-                expansion=exp_report,
-                compilation=comp_report,
-                extracted_cost=cost_new,
-                n_nodes=egraph.n_nodes,
-                n_classes=egraph.n_classes,
-            )
-        )
-        threshold = max(_EPSILON, cost_old * _MIN_RELATIVE_GAIN)
-        improved = cost_new < cost_old - threshold
-        if round_span.enabled:
-            round_span.add(
-                cost_before=cost_old,
-                extracted_cost=cost_new,
-                improved=improved,
-                # The prune decision: an improving round restarts the
-                # next one from the extracted program alone.
-                pruned=bool(options.pruning and improved),
-                n_nodes=egraph.n_nodes,
-                n_classes=egraph.n_classes,
-            )
-        done = False
-        if not improved:
-            if cost_new < cost_old:
-                cost_old = cost_new
-                current = extracted  # keep the small win anyway
-            # Never give up before the expansion phase has had at
-            # least one round to expose new structure.
-            if run_expansion:
-                done = True
-        else:
-            cost_old = cost_new
-            current = extracted
-    return current, cost_old, egraph, root, done
 
 
 class FrontendPass(Pass):
@@ -692,26 +269,78 @@ class SaturatePass(Pass):
                 sat_report = _run_phase(
                     egraph, ruleset.all_rules(), "unphased",
                     options.unphased_limits, schedule,
-                    label=_ctx_label(ctx),
                 )
             ctx.egraph, ctx.root = egraph, root
             ctx.unphased_report = sat_report
             return {"mode": "unphased", "iterations": sat_report.iterations}
 
-        # --- the Fig. 3 loop (one _advance_round call per round) ---------
+        # --- the Fig. 3 loop: expansion → compilation → extract, pruned --
         current = ctx.term
         cost_old = report.initial_cost
         egraph: EGraph | None = None
         root: int | None = None
-        cache = _active_cache(ctx)
 
         for index in range(options.max_rounds):
-            current, cost_old, egraph, root, done = _advance_round(
-                ctx, schedule, cache, index, current, cost_old, egraph,
-                root,
-            )
-            if done:
-                break
+            run_expansion = index >= options.expansion_start_round
+            with tracer.span("compile.round", index=index) as round_span:
+                if options.pruning or egraph is None:
+                    egraph = EGraph()
+                    root = egraph.add_term(current)
+                exp_report = None
+                if run_expansion:
+                    with tracer.span("phase.expansion"):
+                        exp_report = _run_phase(
+                            egraph, list(ruleset.expansion), "expansion",
+                            options.expansion_limits, schedule,
+                        )
+                # Frontier matching: compilation rules chain (each lift
+                # mints the Vec literal the next lift fires on), so after
+                # the first sweep the budget goes to newly created
+                # structure instead of re-matching the expansion phase's
+                # variants.
+                with tracer.span("phase.compilation"):
+                    comp_report = _run_phase(
+                        egraph, list(ruleset.compilation), "compilation",
+                        options.compilation_limits, schedule,
+                        frontier=True,
+                    )
+
+                cost_new, extracted = _extract(
+                    egraph, root, ctx.cost_model, report
+                )
+                report.peak_nodes = max(report.peak_nodes, egraph.n_nodes)
+                report.rounds.append(
+                    RoundReport(
+                        index=index,
+                        expansion=exp_report,
+                        compilation=comp_report,
+                        extracted_cost=cost_new,
+                        n_nodes=egraph.n_nodes,
+                        n_classes=egraph.n_classes,
+                    )
+                )
+                threshold = max(_EPSILON, cost_old * _MIN_RELATIVE_GAIN)
+                improved = cost_new < cost_old - threshold
+                if round_span.enabled:
+                    round_span.add(
+                        cost_before=cost_old,
+                        extracted_cost=cost_new,
+                        improved=improved,
+                        # The prune decision: an improving round restarts
+                        # the next one from the extracted program alone.
+                        pruned=bool(options.pruning and improved),
+                        n_nodes=egraph.n_nodes,
+                        n_classes=egraph.n_classes,
+                    )
+                if cost_new < cost_old:
+                    # An improving round's extraction becomes the next
+                    # round's input; a too-small win is kept anyway.
+                    cost_old = cost_new
+                    current = extracted
+                # Never give up before the expansion phase has had at
+                # least one round to expose new structure.
+                if not improved and run_expansion:
+                    break
 
         ctx.current = current
         return {"mode": "phased", "n_rounds": len(report.rounds)}
@@ -729,60 +358,18 @@ class OptimizePass(Pass):
     name = "optimize"
 
     def run(self, ctx: CompilationContext):
-        """Saturate with optimization rules, or skip when unphased.
-
-        Cache-aware like the round phases: the optimization phase
-        always starts from a fresh e-graph of ``ctx.current``, so it
-        is a pure function of that term and the expansion cache can
-        answer it directly with the stored post-phase state.
-        """
+        """Saturate with optimization rules, or skip when unphased."""
         if not ctx.options.phased:
             return SKIPPED
-        schedule = _active_schedule(ctx)
-        cache = _active_cache(ctx)
-        opt_rules = list(ctx.ruleset.optimization)
-        key = None
-        if cache is not None:
-            key = cache.phase_key(
-                "optimization",
-                "term:" + term_digest(ctx.current),
-                rules_digest(opt_rules),
-                limits_digest(ctx.options.optimization_limits),
-                _schedule_digest(schedule),
-                False,
-            )
-            entry = cache.load_entry(key)
-            if entry is not None:
-                pair = cache.restore(entry[1])
-                if pair is not None:
-                    egraph, meta = pair
-                    ctx.report.optimization = _report_from_cache_meta(
-                        entry[0]
-                    )
-                    ctx.egraph, ctx.root = egraph, int(meta["root"])
-                    return {"iterations": 0, "cached": True}
         egraph = EGraph()
         root = egraph.add_term(ctx.current)
         with current_tracer().span("phase.optimization"):
             ctx.report.optimization = _run_phase(
                 egraph,
-                opt_rules,
+                list(ctx.ruleset.optimization),
                 "optimization",
                 ctx.options.optimization_limits,
-                schedule,
-                label=f"{_ctx_label(ctx)}-optimize",
-            )
-        if cache is not None:
-            cache.store(
-                key, egraph,
-                meta={
-                    "kernel": _ctx_label(ctx),
-                    "phase": "optimization",
-                    "root": root,
-                    "stop_reason": (
-                        ctx.report.optimization.stop_reason.value
-                    ),
-                },
+                _active_schedule(ctx),
             )
         ctx.egraph, ctx.root = egraph, root
         return {"iterations": ctx.report.optimization.iterations}
@@ -939,30 +526,22 @@ class KernelCompileError(RuntimeError):
 
     Wraps whatever the underlying pass raised with the *identity* of
     the failing kernel — its suite key/name and its compile-surface
-    spec hash (:func:`repro.kernels.specs.kernel_spec_hash`) — plus
-    the pipeline stage that failed, so a ``compile_many`` over dozens
-    of kernels names the culprit instead of surfacing a bare worker
-    traceback.  Defines ``__reduce__`` so the error survives the
-    process-pool pickling round trip intact.
+    spec hash (:func:`repro.kernels.specs.kernel_spec_hash`) — so a
+    ``compile_many`` over dozens of kernels names the culprit instead
+    of surfacing a bare worker traceback.  Defines ``__reduce__`` so
+    the error survives the process-pool pickling round trip intact.
     """
 
-    def __init__(
-        self, kernel_key: str, spec_hash: str, stage: str, message: str
-    ):
+    def __init__(self, kernel_key: str, spec_hash: str, message: str):
         super().__init__(
-            f"kernel {kernel_key!r} (spec {spec_hash}) failed in "
-            f"stage {stage!r}: {message}"
+            f"kernel {kernel_key!r} (spec {spec_hash}) failed: {message}"
         )
         self.kernel_key = kernel_key
         self.spec_hash = spec_hash
-        self.stage = stage
         self.message = message
 
     def __reduce__(self):
-        return (
-            type(self),
-            (self.kernel_key, self.spec_hash, self.stage, self.message),
-        )
+        return (type(self), (self.kernel_key, self.spec_hash, self.message))
 
 
 def _kernel_key(kernel) -> str:
@@ -991,183 +570,8 @@ def _compile_one(compiler, kernel, options, validate):
         raise
     except Exception as exc:
         raise KernelCompileError(
-            _kernel_key(kernel), _kernel_spec_hash(kernel), "compile",
-            str(exc),
+            _kernel_key(kernel), _kernel_spec_hash(kernel), str(exc)
         ) from exc
-
-
-def _staged_context(
-    compiler, program, options, validate, report=None
-) -> CompilationContext:
-    """A per-stage :class:`CompilationContext` for the staged compile.
-
-    Rebuilt in whichever worker runs the stage — only the picklable
-    state dict crosses processes — with the same wiring
-    ``GeneratedCompiler.compile_kernel`` uses, so the staged passes see
-    an identical context to the serial ones.
-    """
-    return CompilationContext(
-        ruleset=compiler.ruleset,
-        cost_model=compiler.cost_model,
-        options=options or compiler.options,
-        schedule=compiler.schedule,
-        program=program,
-        spec=compiler.spec,
-        validator=compiler.validate_equivalence if validate else None,
-        term=getattr(program, "term", None),
-        report=report,
-    )
-
-
-def _staged_step(context, state: dict):
-    """Advance one kernel's staged compile by one stage.
-
-    The ``parallel_pipeline`` step function: ``context`` is the shared
-    ``(compiler, options, validate)`` payload, ``state`` the kernel's
-    picklable stage machine.  Stages are ``start`` (frontend) →
-    ``round``×N (one Fig. 3 round each, via the same
-    :func:`_advance_round` the serial path runs) → ``optimize`` →
-    ``finish`` (extract/validate/lower + result assembly).  E-graphs
-    cross stage boundaries as snapshot bytes; with pruning on, rounds
-    rebuild from the current best term, so only optimize→finish ships
-    a graph.
-    """
-    compiler, options, validate = context
-    try:
-        return _staged_step_inner(compiler, options, validate, state)
-    except KernelCompileError:
-        raise
-    except Exception as exc:
-        raise KernelCompileError(
-            state.get("kernel_key", "<kernel>"),
-            state.get("spec_hash", "<unhashed>"),
-            state.get("stage", "<stage>"),
-            str(exc),
-        ) from exc
-
-
-def _staged_step_inner(compiler, options, validate, state: dict):
-    stage = state["stage"]
-    state["last_stage"] = stage
-
-    if stage == "start":
-        program = state.pop("kernel")
-        if hasattr(program, "program"):
-            program = program.program  # KernelInstance → KernelProgram
-        ctx = _staged_context(compiler, program, options, validate)
-        Pipeline([FrontendPass()]).run(ctx)
-        state.update(
-            program=ctx.program,
-            report=ctx.report,
-            spec_hash=_kernel_spec_hash(ctx.program),
-            current=ctx.term,
-            cost_old=ctx.report.initial_cost,
-            round_index=0,
-            egraph_blob=None,
-            root=None,
-            sat_elapsed=0.0,
-            stage="round",
-        )
-        return state, False
-
-    ctx = _staged_context(
-        compiler, state["program"], options, validate,
-        report=state["report"],
-    )
-    schedule = _active_schedule(ctx)
-
-    if stage == "round":
-        index = state["round_index"]
-        state["last_stage"] = f"round{index}"
-        egraph = None
-        root = None
-        if state["egraph_blob"] is not None:
-            egraph, _meta = load_egraph(state["egraph_blob"])
-            root = state["root"]
-        t0 = time.monotonic()
-        current, cost_old, egraph, root, done = _advance_round(
-            ctx, schedule, _active_cache(ctx), index,
-            state["current"], state["cost_old"], egraph, root,
-        )
-        state["sat_elapsed"] += time.monotonic() - t0
-        state["current"] = current
-        state["cost_old"] = cost_old
-        state["round_index"] = index + 1
-        if done or index + 1 >= ctx.options.max_rounds:
-            # Close the saturate stage with the same pass-report entry
-            # the serial SaturatePass leaves behind.
-            report = ctx.report
-            report.passes.append(
-                PassReport(
-                    "saturate", state["sat_elapsed"], _OK,
-                    {"mode": "phased", "n_rounds": len(report.rounds)},
-                )
-            )
-            report.elapsed += state["sat_elapsed"]
-            state["egraph_blob"] = None
-            state["root"] = None
-            state["stage"] = "optimize"
-        elif not ctx.options.pruning:
-            # Without pruning the graph itself carries to the next
-            # round; serialize it for the hop between workers.
-            state["egraph_blob"] = save_egraph(egraph)
-            state["root"] = root
-        else:
-            state["egraph_blob"] = None  # next round rebuilds from term
-        state["report"] = ctx.report
-        return state, False
-
-    if stage == "optimize":
-        ctx.current = state["current"]
-        Pipeline([OptimizePass()]).run(ctx)
-        state["egraph_blob"] = save_egraph(ctx.egraph)
-        state["root"] = ctx.root
-        state["report"] = ctx.report
-        state["stage"] = "finish"
-        return state, False
-
-    if stage == "finish":
-        from repro.core.framework import CompiledKernel
-
-        ctx.current = state["current"]
-        egraph, _meta = load_egraph(state["egraph_blob"])
-        ctx.egraph = egraph
-        ctx.root = state["root"]
-        Pipeline([ExtractPass(), ValidatePass(), LowerPass()]).run(ctx)
-        program = state["program"]
-        state["result"] = CompiledKernel(
-            name=program.name,
-            scalar_term=program.term,
-            compiled_term=ctx.compiled,
-            machine_program=ctx.machine,
-            report=ctx.report,
-            arrays=dict(program.arrays),
-            output=program.output,
-            spec=compiler.spec,
-        )
-        state["egraph_blob"] = None
-        state["report"] = ctx.report
-        state["stage"] = "done"
-        return state, True
-
-    raise ValueError(f"unknown staged-compile stage {stage!r}")
-
-
-def _stage_label(state: dict) -> str:
-    """Trace label for one completed pipeline stage."""
-    return (
-        f"{state.get('kernel_key', '?')}:"
-        f"{state.get('last_stage', state.get('stage', '?'))}"
-    )
-
-
-def _legacy_pipeline_requested() -> bool:
-    """``REPRO_LEGACY_PIPELINE=1`` forces the coarse one-worker-per-
-    kernel ``compile_many`` fan-out (the pre-pipelining path, kept for
-    differential testing and as an escape hatch)."""
-    return os.environ.get(
-        "REPRO_LEGACY_PIPELINE", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
 
 
 def compile_many(
@@ -1180,25 +584,16 @@ def compile_many(
     """Compile many kernels against one generated compiler.
 
     The batch driver for the artifact workflow: load one
-    :class:`~repro.core.artifact.CompilerArtifact`, then fan a kernel
-    list out across worker processes (via :mod:`repro.bench.parallel`,
+    :class:`~repro.core.artifact.CompilerArtifact`, then compile a
+    kernel list with it.  ``jobs`` ≤ 1 runs serially in-process;
+    otherwise each kernel's whole compile is one task fanned out across
+    worker processes via :func:`repro.bench.parallel.parallel_starmap`,
     so ordering is deterministic and the fan-out degrades to a serial
-    loop when pools are unavailable or ``REPRO_PARALLEL=0``).
-    ``jobs`` ≤ 1 runs serially in-process.  Returns one
-    :class:`~repro.core.framework.CompiledKernel` per input kernel, in
-    input order; a failing kernel raises :class:`KernelCompileError`
-    naming the kernel and its spec hash.
-
-    The parallel path is *phase-pipelined*: each kernel's compile is
-    cut into stages (frontend, one stage per Fig. 3 round, optimize,
-    finish) and the stages are interleaved across the pool, so a long
-    kernel's optimization overlaps a short kernel's rounds instead of
-    each kernel monopolizing one worker end-to-end.  Every stage runs
-    the same pass/round code as the serial path, so the compiled
-    results are byte-identical.  ``REPRO_LEGACY_PIPELINE=1`` (or an
-    unphased ablation, whose single saturation has no stage
-    boundaries) falls back to the coarse one-worker-per-kernel
-    fan-out.
+    loop when pools are unavailable or ``REPRO_PARALLEL=0``.  Either
+    way every kernel runs the same pass pipeline, so the results are
+    identical.  Returns one :class:`~repro.core.framework.CompiledKernel`
+    per input kernel, in input order; a failing kernel raises
+    :class:`KernelCompileError` naming the kernel and its spec hash.
     """
     kernels = list(kernels)
     if jobs is None or jobs <= 1:
@@ -1206,27 +601,10 @@ def compile_many(
             _compile_one(compiler, k, options, validate) for k in kernels
         ]
 
-    active_options = options or compiler.options
-    if _legacy_pipeline_requested() or not active_options.phased:
-        from repro.bench.parallel import parallel_starmap
+    from repro.bench.parallel import parallel_starmap
 
-        return parallel_starmap(
-            _compile_one,
-            [(compiler, k, options, validate) for k in kernels],
-            max_workers=jobs,
-        )
-
-    from repro.bench.parallel import parallel_pipeline
-
-    states = [
-        {"stage": "start", "kernel": k, "kernel_key": _kernel_key(k)}
-        for k in kernels
-    ]
-    finished = parallel_pipeline(
-        _staged_step,
-        states,
+    return parallel_starmap(
+        _compile_one,
+        [(compiler, k, options, validate) for k in kernels],
         max_workers=jobs,
-        context=(compiler, options, validate),
-        labeler=_stage_label,
     )
-    return [state["result"] for state in finished]

@@ -15,8 +15,12 @@ Artifacts are keyed by a **semantics-aware fingerprint**: each
 instruction's ``lane_fn`` is evaluated on a fixed grid of probe inputs
 and the results are hashed, so editing an instruction's *behaviour* (a
 §5.4 customization) misses the cache even when its name, arity, and
-cost are unchanged.  This supersedes the name/cost-only fingerprint of
-the legacy rule cache (``repro.core.cache``, kept as a thin shim).
+cost are unchanged.
+
+Every on-disk layer (this module's artifact cache and the service
+registry) shares one corrupt-entry policy, :func:`corrupt_entry_miss`:
+a truncated or garbled entry is a tracer-logged miss followed by a
+clean rebuild, never an error.
 
 Build, inspect, and use artifacts from the command line with
 ``repro-artifact`` (``python -m repro.tools.artifact_cli``).
@@ -131,8 +135,7 @@ def spec_fingerprint(spec: IsaSpec, config: SynthesisConfig) -> str:
     """Stable key for (ISA, synthesis config) pairs.
 
     Semantics-aware: includes :func:`spec_semantics_hash`, so editing a
-    lane function changes the fingerprint (the legacy cache's stale-hit
-    hole, fixed).
+    lane function changes the fingerprint.
     """
     parts = [spec_semantics_hash(spec)]
     parts.extend(
@@ -524,6 +527,22 @@ class CompilerArtifact:
 # ---------------------------------------------------------------------------
 
 
+def corrupt_entry_miss(layer: str, path, error) -> None:
+    """Record a corrupt/truncated on-disk cache entry as a **miss**.
+
+    The single implementation of the repo-wide recovery policy: a bad
+    entry is reported through the tracer as ``<layer>.corrupt``
+    (carrying the file path and the parse error) and the caller
+    rebuilds the value cleanly, overwriting the entry — a corrupt file
+    must never surface as an exception or a wrong answer.  ``layer``
+    is the cache's trace-event namespace (``artifact_cache``,
+    ``registry``).
+    """
+    current_tracer().record(
+        f"{layer}.corrupt", 0.0, path=str(path), error=str(error)
+    )
+
+
 def default_cache_dir() -> Path:
     """Cache directory (``REPRO_RULE_CACHE`` overrides the default)."""
     env = os.environ.get("REPRO_RULE_CACHE")
@@ -562,10 +581,6 @@ def load_cached_artifact(
     try:
         artifact = CompilerArtifact.load(path)
     except ArtifactError as exc:
-        # Local import: repro.core.cache imports this module at load
-        # time, so the shared corrupt-entry policy is bound lazily.
-        from repro.core.cache import corrupt_entry_miss
-
         corrupt_entry_miss("artifact_cache", path, exc)
         return None
     if artifact.spec_hash != spec_semantics_hash(spec):

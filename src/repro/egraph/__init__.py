@@ -26,9 +26,8 @@ Modules:
   schedules (per-rule budgets/bans/disables, per-phase limits) and the
   ``TunedScheduler`` that enforces them;
 - :mod:`repro.egraph.snapshot` — versioned byte serialization of
-  e-graphs, scheduler state, and paused saturations (``Runner``
-  checkpoint/resume, the expansion cache, phase-pipelined
-  ``compile_many``);
+  e-graphs (the differential tests copy and compare graphs through
+  it);
 - :mod:`repro.egraph.extract` — bottom-up minimum-cost extraction.
 """
 
@@ -41,7 +40,6 @@ from repro.egraph.compile_pattern import (
 from repro.egraph.ematch import ematch, match_in_class
 from repro.egraph.rewrite import Rewrite, parse_rewrite
 from repro.egraph.runner import (
-    Runner,
     RunnerLimits,
     RunnerReport,
     RuleScheduler,
@@ -52,7 +50,6 @@ from repro.egraph.runner import (
 )
 from repro.egraph.snapshot import (
     SNAPSHOT_VERSION,
-    SaturationCheckpoint,
     SnapshotError,
     load_egraph,
     save_egraph,
@@ -79,7 +76,6 @@ __all__ = [
     "match_in_class",
     "Rewrite",
     "parse_rewrite",
-    "Runner",
     "RunnerLimits",
     "RunnerReport",
     "RuleScheduler",
@@ -88,7 +84,6 @@ __all__ = [
     "BackoffScheduler",
     "run_saturation",
     "SNAPSHOT_VERSION",
-    "SaturationCheckpoint",
     "SnapshotError",
     "load_egraph",
     "save_egraph",

@@ -149,13 +149,6 @@ class RunnerReport:
     iterations: list[IterationReport] = field(default_factory=list)
     elapsed: float = 0.0
     perf: SaturationPerf = field(default_factory=SaturationPerf)
-    # Frontier roots pending when the run stopped (consumed by
-    # Runner.checkpoint so a resumed frontier run stays incremental).
-    pending_roots: list[int] | None = None
-    # True when this report stands in for a cached phase result (the
-    # expansion cache restored the post-phase e-graph instead of
-    # re-running saturation); iteration details are then absent.
-    cached: bool = False
 
     @property
     def n_iterations(self) -> int:
@@ -206,20 +199,6 @@ class RuleScheduler:
     def any_banned(self, iteration: int) -> bool:
         """True while any rule is banned (blocks saturation claims)."""
         return False
-
-    def state_dict(self) -> dict:
-        """The scheduler's adaptive state as a JSON-ready dict.
-
-        The ``kind`` key routes deserialization (see
-        :func:`repro.egraph.snapshot.scheduler_from_doc`); the base
-        policy is stateless, so there is nothing else to save.
-        """
-        return {"kind": "default"}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RuleScheduler":
-        """Rebuild a scheduler from :meth:`state_dict` output."""
-        return cls()
 
 
 class BackoffScheduler(RuleScheduler):
@@ -281,44 +260,6 @@ class BackoffScheduler(RuleScheduler):
             until > iteration for until in self._banned_until.values()
         )
 
-    def state_dict(self) -> dict:
-        """Thresholds, active bans, and ban counts, JSON-ready.
-
-        Ban horizons are *absolute* iteration indices, which is why
-        resumed runs continue the iteration counter (see
-        :class:`Runner`) instead of restarting it at zero.
-        """
-        return {
-            "kind": "backoff",
-            "match_limit": self._initial_limit,
-            "ban_length": self._ban_length,
-            "thresholds": dict(self._thresholds),
-            "banned_until": dict(self._banned_until),
-            "ban_count": dict(self._ban_count),
-        }
-
-    def _load_ban_state(self, state: dict) -> None:
-        """Adopt the adaptive dicts from a :meth:`state_dict` value."""
-        self._thresholds = {
-            str(k): int(v) for k, v in state["thresholds"].items()
-        }
-        self._banned_until = {
-            str(k): int(v) for k, v in state["banned_until"].items()
-        }
-        self._ban_count = {
-            str(k): int(v) for k, v in state["ban_count"].items()
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BackoffScheduler":
-        """Rebuild a backoff scheduler from :meth:`state_dict` output."""
-        scheduler = cls(
-            match_limit=int(state["match_limit"]),
-            ban_length=int(state["ban_length"]),
-        )
-        scheduler._load_ban_state(state)
-        return scheduler
-
 
 def run_saturation(
     egraph: EGraph,
@@ -326,8 +267,6 @@ def run_saturation(
     limits: RunnerLimits | None = None,
     scheduler: RuleScheduler | None = None,
     frontier: bool = False,
-    start_iteration: int = 0,
-    initial_roots: set[int] | None = None,
 ) -> RunnerReport:
     """Apply ``rules`` to ``egraph`` until saturation or a limit.
 
@@ -348,14 +287,6 @@ def run_saturation(
     essential for chained compilation rules, whose each application
     mints the ``Vec`` literal the next one must fire on.
 
-    ``start_iteration`` continues the absolute iteration counter of a
-    resumed run (``limits.max_iterations`` stays the *total* cap, and
-    banned-until horizons recorded by the scheduler keep their
-    meaning); ``initial_roots`` seeds the frontier of a resumed
-    frontier run — without it the first resumed iteration falls back
-    to a full match sweep.  Fresh runs leave both at their defaults.
-    :class:`Runner` wraps this plumbing with checkpoint/resume.
-
     When tracing is enabled (see :mod:`repro.obs`) the run emits an
     ``eqsat`` span carrying the stop reason and the
     :class:`SaturationPerf` counters, with one ``eqsat.iteration``
@@ -366,8 +297,7 @@ def run_saturation(
         "eqsat", n_rules=len(rules), frontier=frontier
     ) as sat_span:
         report = _run_saturation(egraph, rules, limits, scheduler,
-                                 frontier, tracer, start_iteration,
-                                 initial_roots)
+                                 frontier, tracer)
         if sat_span.enabled:
             sat_span.add(
                 stop_reason=report.stop_reason.value,
@@ -386,8 +316,6 @@ def _run_saturation(
     scheduler: RuleScheduler | None,
     frontier: bool,
     tracer,
-    start_iteration: int = 0,
-    initial_roots: set[int] | None = None,
 ) -> RunnerReport:
     limits = limits or RunnerLimits()
     if scheduler is None:
@@ -408,14 +336,8 @@ def _run_saturation(
     perf.rebuild_time += time.monotonic() - t0
     roots: set[int] | None = None
     if frontier:
-        if start_iteration and initial_roots is not None:
-            # Resumed frontier run: continue from the checkpointed
-            # frontier instead of discarding it (the touched set was
-            # already folded into ``initial_roots`` at pause time).
-            roots = set(initial_roots)
-        else:
-            egraph.take_touched()  # discard pre-existing dirt
-    for iteration in range(start_iteration, limits.max_iterations):
+        egraph.take_touched()  # discard pre-existing dirt
+    for iteration in range(limits.max_iterations):
         it_t0 = time.monotonic()
         iter_report = IterationReport(
             index=iteration,
@@ -521,162 +443,7 @@ def _run_saturation(
         break
 
     report.elapsed = time.monotonic() - start
-    if frontier and roots is not None:
-        report.pending_roots = sorted(roots)
     return report
-
-
-class Runner:
-    """A checkpointable equality-saturation driver.
-
-    Thin stateful wrapper over :func:`run_saturation` that remembers
-    everything needed to pause and continue a run:
-
-    >>> runner = Runner(egraph, rules, limits=RunnerLimits(...))
-    >>> report = runner.run()                  # hits a deadline
-    >>> ckpt = runner.checkpoint()             # bytes-serializable
-    >>> resumed = Runner.resume(ckpt, rules,
-    ...                         limits=RunnerLimits(time_limit=60.0))
-    >>> resumed.run()                          # continues, not restarts
-
-    The iteration counter is absolute across resumes (so scheduler ban
-    horizons stay meaningful and ``limits.max_iterations`` remains the
-    *total* budget), while the time budget is fresh per :meth:`run` —
-    resuming after a deadline with the same limits grants the run that
-    much more wall clock.  Resume verifies the rule list digest: a
-    checkpoint restored under different rules would silently compute
-    something else, so that raises
-    :class:`~repro.egraph.snapshot.SnapshotError` instead.
-    """
-
-    def __init__(
-        self,
-        egraph: EGraph,
-        rules: list[Rewrite],
-        limits: RunnerLimits | None = None,
-        scheduler: RuleScheduler | None = None,
-        frontier: bool = False,
-        start_iteration: int = 0,
-        initial_roots: set[int] | None = None,
-    ):
-        self.egraph = egraph
-        self.rules = list(rules)
-        self.limits = limits or RunnerLimits()
-        self.scheduler = scheduler or BackoffScheduler(
-            match_limit=self.limits.match_limit,
-            ban_length=self.limits.ban_length,
-        )
-        self.frontier = frontier
-        self.iterations_done = start_iteration
-        self._pending_roots = initial_roots
-        self.report: RunnerReport | None = None
-
-    def run(self) -> RunnerReport:
-        """Saturate (or continue saturating); returns the run report.
-
-        May be called again after a limit stop to continue in-process;
-        :meth:`checkpoint` captures the same continuation point for
-        another process or a later invocation.
-        """
-        report = run_saturation(
-            self.egraph,
-            self.rules,
-            self.limits,
-            scheduler=self.scheduler,
-            frontier=self.frontier,
-            start_iteration=self.iterations_done,
-            initial_roots=self._pending_roots,
-        )
-        self.iterations_done += report.n_iterations
-        self._pending_roots = (
-            None
-            if report.pending_roots is None
-            else set(report.pending_roots)
-        )
-        self.report = report
-        return report
-
-    def checkpoint(self, meta: dict | None = None):
-        """The run's continuation point as a serializable checkpoint.
-
-        Returns a :class:`~repro.egraph.snapshot.SaturationCheckpoint`
-        (``.to_bytes()`` / ``.save(path)`` for persistence).  ``meta``
-        rides along as provenance (phase, kernel, stop reason).
-        """
-        import dataclasses
-
-        from repro.egraph.snapshot import (
-            SaturationCheckpoint,
-            rules_digest,
-            scheduler_to_doc,
-        )
-
-        return SaturationCheckpoint(
-            egraph=self.egraph,
-            scheduler=scheduler_to_doc(self.scheduler),
-            iterations_done=self.iterations_done,
-            frontier=self.frontier,
-            rules_digest=rules_digest(self.rules),
-            pending_roots=(
-                None
-                if self._pending_roots is None
-                else sorted(self._pending_roots)
-            ),
-            limits=dataclasses.asdict(self.limits),
-            meta=dict(meta or {}),
-        )
-
-    @classmethod
-    def resume(
-        cls,
-        checkpoint,
-        rules: list[Rewrite],
-        limits: RunnerLimits | None = None,
-    ) -> "Runner":
-        """A runner continuing from ``checkpoint`` (path, bytes, or
-        :class:`~repro.egraph.snapshot.SaturationCheckpoint`).
-
-        ``limits`` is the new budget — typically larger than the one
-        that tripped; ``None`` reuses the checkpointed limits.  The
-        ``rules`` list must hash-match the one the checkpoint was
-        taken under.
-        """
-        from pathlib import Path
-
-        from repro.egraph.snapshot import (
-            SaturationCheckpoint,
-            SnapshotError,
-            rules_digest,
-            scheduler_from_doc,
-        )
-
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = SaturationCheckpoint.load(checkpoint)
-        elif isinstance(checkpoint, bytes):
-            checkpoint = SaturationCheckpoint.from_bytes(checkpoint)
-        rules = list(rules)
-        digest = rules_digest(rules)
-        if digest != checkpoint.rules_digest:
-            raise SnapshotError(
-                "checkpoint was taken under a different rule list "
-                f"({checkpoint.rules_digest} != {digest}); resuming "
-                "would silently change the computation"
-            )
-        if limits is None and checkpoint.limits is not None:
-            limits = RunnerLimits(**checkpoint.limits)
-        return cls(
-            egraph=checkpoint.egraph,
-            rules=rules,
-            limits=limits,
-            scheduler=scheduler_from_doc(checkpoint.scheduler),
-            frontier=checkpoint.frontier,
-            start_iteration=checkpoint.iterations_done,
-            initial_roots=(
-                None
-                if checkpoint.pending_roots is None
-                else set(checkpoint.pending_roots)
-            ),
-        )
 
 
 # The stats recorded for an application skipped as unmatchable.

@@ -345,24 +345,6 @@ class TunedScheduler(BackoffScheduler):
             return policy.ban_length
         return self._ban_length
 
-    def state_dict(self) -> dict:
-        """Backoff state plus the spec, so resume re-enforces it."""
-        state = super().state_dict()
-        state["kind"] = "tuned"
-        state["spec"] = self._spec.to_dict()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TunedScheduler":
-        """Rebuild a tuned scheduler from :meth:`state_dict` output."""
-        scheduler = cls(
-            ScheduleSpec.from_dict(state["spec"]),
-            match_limit=int(state["match_limit"]),
-            ban_length=int(state["ban_length"]),
-        )
-        scheduler._load_ban_state(state)
-        return scheduler
-
 
 def schedule_from_env() -> ScheduleSpec | None:
     """The ``REPRO_SCHEDULE`` override, or ``None`` when unset.

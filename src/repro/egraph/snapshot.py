@@ -1,37 +1,25 @@
-"""Versioned byte-level serialization of e-graphs and runner state.
+"""Versioned byte-level serialization of e-graphs.
 
-The e-graph has historically been a one-shot in-memory object: a blown
-deadline in the optimization phase threw away the expansion and
-compilation work, ``compile_many`` could only parallelize at
-whole-kernel granularity, and nothing persisted between repeat
-compiles of the same kernel.  Following the eqsat-dialect observation
-that e-graphs flatten cleanly into table form (nodes / classes /
-union-find) and egg's rebuild-centric design (runner state is a small,
-well-defined set), this module gives the engine a compact serialized
-form and builds checkpointing on top of it:
+Following the eqsat-dialect observation that e-graphs flatten cleanly
+into table form (nodes / classes / union-find), this module gives the
+engine a compact serialized form:
 
 - :func:`egraph_to_doc` / :func:`egraph_from_doc` — the flat-table
   document form (interned node table, class table, hashcons pairs,
   union-find parent array, op-index, counters);
-- :func:`dump_snapshot` / :func:`load_snapshot` — the on-disk
-  container: magic + version line, an *uncompressed* JSON meta line
-  (cheap to scan without inflating the body), and a zlib-compressed
-  JSON payload;
+- :func:`dump_snapshot` / :func:`load_snapshot` — the byte container:
+  magic + version line, an *uncompressed* JSON meta line (cheap to
+  scan without inflating the body), and a zlib-compressed JSON
+  payload;
 - :func:`save_egraph` / :func:`load_egraph` — one-call e-graph ↔
-  bytes round-trip;
-- :class:`SaturationCheckpoint` — an e-graph plus the scheduler and
-  iteration state of a paused saturation, resumable via
-  :meth:`repro.egraph.runner.Runner.resume`;
-- digest helpers (:func:`term_digest`, :func:`rules_digest`,
-  :func:`limits_digest`) used to content-address snapshots in the
-  expansion cache (:mod:`repro.core.cache`).
+  bytes round-trip.
 
 Restoration rebuilds the *exact* internal state — dict insertion
 orders, worklist, touched set, staleness counters — so a restored
 graph behaves byte-identically to the live one under further
-saturation and extraction.  Anything malformed raises
-:class:`SnapshotError`; callers that cache snapshots treat that as a
-miss, never an error (the PR-4 corrupt-artifact policy).
+saturation and extraction.  The differential tests copy and
+byte-compare e-graphs through it.  Anything malformed raises
+:class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -39,16 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field, fields
-from pathlib import Path
-
 from repro.egraph.egraph import EClass, EGraph
-from repro.egraph.rewrite import Rewrite
 from repro.egraph.unionfind import UnionFind
 
 #: Schema version of the serialized e-graph document.  Bump on any
-#: change to the payload layout; readers reject mismatches (callers
-#: treat that as a cache miss and rebuild).
+#: change to the payload layout; readers reject mismatches.
 SNAPSHOT_VERSION = 1
 
 #: First container line: file magic + container format version.
@@ -231,11 +214,10 @@ def dump_snapshot(payload: dict, meta: dict | None = None) -> bytes:
     """Serialize ``payload`` into the versioned snapshot container.
 
     Layout: the :data:`MAGIC` line, one *uncompressed* JSON meta line
-    (so inspection tools can scan a cache directory without inflating
-    bodies), then the zlib-compressed JSON payload.  The meta line
+    (readable without inflating the body), then the zlib-compressed
+    JSON payload.  The meta line
     always carries ``schema`` (the payload schema version) and
-    ``digest`` — a short SHA-256 of the canonical payload JSON, the
-    content address the expansion cache keys chain on.
+    ``digest`` — a short SHA-256 of the canonical payload JSON.
     """
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     meta_doc = dict(meta or {})
@@ -252,8 +234,8 @@ def dump_snapshot(payload: dict, meta: dict | None = None) -> bytes:
 def load_snapshot_meta(data: bytes) -> tuple[dict, bytes]:
     """Validate the container header; return ``(meta, compressed body)``.
 
-    Cheap — the body is *not* decompressed, so cache stats and content
-    digests come from the meta line alone.  Raises
+    Cheap — the body is *not* decompressed, so the content digest
+    comes from the meta line alone.  Raises
     :class:`SnapshotError` on a bad magic, version, or meta line.
     """
     if not isinstance(data, bytes) or b"\n" not in data:
@@ -303,173 +285,3 @@ def load_egraph(data: bytes) -> tuple[EGraph, dict]:
     """Restore ``(egraph, meta)`` from :func:`save_egraph` bytes."""
     meta, payload = load_snapshot(data)
     return egraph_from_doc(payload), meta
-
-
-# -- content digests ---------------------------------------------------------
-
-
-def _short_sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def term_digest(term) -> str:
-    """Short content hash of a DSL term (s-expression based)."""
-    from repro.lang.parser import to_sexpr
-
-    return _short_sha(to_sexpr(term))
-
-
-def rules_digest(rules: list[Rewrite]) -> str:
-    """Short content hash of a rule list (names + both sides, ordered).
-
-    Order-sensitive on purpose: the saturation loop applies rules in
-    list order, so two differently-ordered rulesets are different
-    schedules and must not share cache entries.
-    """
-    from repro.lang.parser import to_sexpr
-
-    lines = [
-        f"{rule.name}\t{to_sexpr(rule.lhs)} => {to_sexpr(rule.rhs)}"
-        for rule in rules
-    ]
-    return _short_sha("\n".join(lines))
-
-
-def limits_digest(limits) -> str:
-    """Short content hash of a :class:`RunnerLimits` value."""
-    parts = [
-        f"{f.name}={getattr(limits, f.name)!r}" for f in fields(limits)
-    ]
-    return _short_sha(";".join(parts))
-
-
-# -- scheduler state ---------------------------------------------------------
-
-
-def scheduler_to_doc(scheduler) -> dict:
-    """A scheduler's adaptive state as a JSON-ready document.
-
-    Dispatches on the concrete scheduler type; the document's
-    ``kind`` key routes :func:`scheduler_from_doc` back to the right
-    class.  Custom :class:`~repro.egraph.runner.RuleScheduler`
-    subclasses must implement ``state_dict`` to be checkpointable.
-    """
-    state = scheduler.state_dict()
-    if not isinstance(state, dict) or "kind" not in state:
-        raise SnapshotError(
-            f"scheduler {type(scheduler).__name__} returned an "
-            "invalid state_dict (must be a dict with a 'kind' key)"
-        )
-    return state
-
-
-def scheduler_from_doc(doc: dict):
-    """Rebuild a scheduler from :func:`scheduler_to_doc` output."""
-    from repro.egraph.runner import BackoffScheduler, RuleScheduler
-    from repro.egraph.scheduling import TunedScheduler
-
-    kinds = {
-        "default": RuleScheduler,
-        "backoff": BackoffScheduler,
-        "tuned": TunedScheduler,
-    }
-    if not isinstance(doc, dict):
-        raise SnapshotError("scheduler state is not an object")
-    cls = kinds.get(doc.get("kind"))
-    if cls is None:
-        raise SnapshotError(
-            f"unknown scheduler kind {doc.get('kind')!r}"
-        )
-    try:
-        return cls.from_state(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"malformed scheduler state: {exc}")
-
-
-# -- saturation checkpoints --------------------------------------------------
-
-
-@dataclass
-class SaturationCheckpoint:
-    """A paused saturation, restorable with a larger budget.
-
-    Captures everything :class:`~repro.egraph.runner.Runner` needs to
-    continue where a deadline or node cap stopped it: the e-graph, the
-    scheduler's adaptive state (thresholds / bans), the absolute
-    iteration counter, the frontier roots pending for the next
-    iteration, and a digest of the rule list (resume refuses to
-    continue under a different ruleset — that would silently change
-    the computation).  ``limits`` records the budget the run was
-    *started* with, as a convenience default for resume; ``meta`` is
-    free-form provenance (phase name, stop reason, kernel).
-    """
-
-    egraph: EGraph
-    scheduler: dict
-    iterations_done: int
-    frontier: bool
-    rules_digest: str
-    pending_roots: list[int] | None = None
-    limits: dict | None = None
-    meta: dict = field(default_factory=dict)
-
-    def to_bytes(self) -> bytes:
-        """Serialize into the versioned snapshot container."""
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "kind": "checkpoint",
-            "egraph": egraph_to_doc(self.egraph),
-            "scheduler": self.scheduler,
-            "iterations_done": self.iterations_done,
-            "frontier": self.frontier,
-            "rules_digest": self.rules_digest,
-            "pending_roots": self.pending_roots,
-            "limits": self.limits,
-        }
-        meta = dict(self.meta)
-        meta["kind"] = "checkpoint"
-        return dump_snapshot(payload, meta=meta)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SaturationCheckpoint":
-        """Parse checkpoint bytes; :class:`SnapshotError` if unusable."""
-        meta, payload = load_snapshot(data)
-        try:
-            if payload.get("kind") != "checkpoint":
-                raise SnapshotError(
-                    f"not a checkpoint (kind={payload.get('kind')!r})"
-                )
-            roots = payload["pending_roots"]
-            limits = payload["limits"]
-            return cls(
-                egraph=egraph_from_doc(payload["egraph"]),
-                scheduler=dict(payload["scheduler"]),
-                iterations_done=int(payload["iterations_done"]),
-                frontier=bool(payload["frontier"]),
-                rules_digest=str(payload["rules_digest"]),
-                pending_roots=(
-                    None if roots is None else [int(c) for c in roots]
-                ),
-                limits=None if limits is None else dict(limits),
-                meta=meta,
-            )
-        except SnapshotError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"malformed checkpoint: {exc}")
-
-    def save(self, path: Path | str) -> Path:
-        """Write the checkpoint to ``path`` (parents created)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.to_bytes())
-        return path
-
-    @classmethod
-    def load(cls, path: Path | str) -> "SaturationCheckpoint":
-        """Read a checkpoint file; :class:`SnapshotError` if unusable."""
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise SnapshotError(f"cannot read checkpoint {path}: {exc}")
-        return cls.from_bytes(data)

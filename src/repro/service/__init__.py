@@ -6,8 +6,8 @@ a socket so one registry of offline products answers all traffic:
 
 - :mod:`repro.service.protocol` — the newline-delimited JSON wire
   format (kernels, options, results, content-address keys);
-- :mod:`repro.service.registry` — the on-disk artifact registry,
-  result cache, and expansion-cache warm layer;
+- :mod:`repro.service.registry` — the on-disk artifact registry and
+  result cache;
 - :mod:`repro.service.server` — the asyncio serve loop
   (``repro-serve``): result cache → in-flight dedupe → batched
   ``compile_many``;

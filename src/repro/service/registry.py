@@ -12,14 +12,10 @@ directory holding
   work, and a stale artifact can never compile against changed
   instruction behaviour;
 - ``results/<key>.json`` — the content-addressed result cache, one
-  finished compile answer per :func:`~repro.service.protocol.result_key`;
-- ``expansion/`` — the PR 7 :class:`~repro.core.cache.ExpansionCache`
-  as the per-kernel warm layer, so even a result-cache *miss* on a
-  known kernel restores phase-boundary e-graph snapshots instead of
-  re-running saturation.
+  finished compile answer per :func:`~repro.service.protocol.result_key`.
 
-All three layers share the repo-wide corrupt-entry policy
-(:func:`~repro.core.cache.corrupt_entry_miss`): a truncated or
+Both layers share the repo-wide corrupt-entry policy
+(:func:`~repro.core.artifact.corrupt_entry_miss`): a truncated or
 garbled file is a tracer-logged miss with a clean rebuild, never an
 exception — a damaged registry must not take down a serve loop.
 
@@ -41,10 +37,10 @@ from pathlib import Path
 from repro.core.artifact import (
     ArtifactError,
     CompilerArtifact,
+    corrupt_entry_miss,
     default_cache_dir,
     spec_semantics_hash,
 )
-from repro.core.cache import ExpansionCache, corrupt_entry_miss
 from repro.isa import customized_spec, fusion_g3_spec
 from repro.isa.families import bundled_spec_factories
 from repro.isa.spec import IsaSpec
@@ -123,7 +119,7 @@ class RegistryEntry:
 
 
 class ArtifactRegistry:
-    """Artifacts, compiled-result cache, and warm layer for one root.
+    """Artifacts and the compiled-result cache for one root.
 
     Stateless on disk, memoizing in memory: resolved
     ``GeneratedCompiler`` instances are kept per artifact fingerprint
@@ -161,10 +157,6 @@ class ArtifactRegistry:
     def results_dir(self) -> Path:
         """Where cached compile results live."""
         return self.root / "results"
-
-    def expansion_cache(self) -> ExpansionCache:
-        """The registry's per-kernel warm layer (phase snapshots)."""
-        return ExpansionCache(self.root / "expansion")
 
     def artifact_path(self, fingerprint: str) -> Path:
         """The file a given artifact fingerprint is published at."""
@@ -338,9 +330,9 @@ class ArtifactRegistry:
     def stats(self) -> dict:
         """Registry contents for CLIs and the server's ``stats`` op.
 
-        Per-artifact summaries (fingerprint, ISA, rule count), result
-        and expansion entry counts, and total bytes; corrupt artifacts
-        are counted, not raised.
+        Per-artifact summaries (fingerprint, ISA, rule count, bytes) and
+        the result entry count; corrupt artifacts are counted, not
+        raised.
         """
         artifacts = []
         corrupt = 0
@@ -366,12 +358,9 @@ class ArtifactRegistry:
             if self.results_dir.is_dir()
             else []
         )
-        expansion = self.expansion_cache().stats()
         return {
             "root": str(self.root),
             "artifacts": artifacts,
             "corrupt_artifacts": corrupt,
             "n_results": len(results),
-            "expansion_entries": expansion["entries"],
-            "expansion_bytes": expansion["total_bytes"],
         }

@@ -17,10 +17,11 @@ Request handling is three-tiered, cheapest first:
    later arrivals await the same future;
 3. **batched compile** — cache misses queue up; a batcher task
    collects waiting jobs for a short window, groups them by
-   (compiler, options), and runs each group through the existing
-   :func:`~repro.compiler.pipeline.compile_many` phase-pipelined
-   pool.  A failing kernel is isolated by per-kernel retry so one bad
-   request never poisons its batchmates.
+   (compiler, options), and runs each group through
+   :func:`~repro.compiler.pipeline.compile_many` (one kernel per
+   worker process when ``workers`` > 1).  A failing kernel is isolated
+   by per-kernel retry so one bad request never poisons its
+   batchmates.
 
 Every request and batch is tracer-recorded (``service.request``,
 ``service.batch``) so ``trace_report`` can roll up queue wait, batch
@@ -163,11 +164,7 @@ class CompileService:
         registry: "ArtifactRegistry | None" = None,
     ):
         """``registry`` defaults to the environment-resolved root
-        (``REPRO_SERVICE_CACHE``).  The constructor does not touch the
-        environment; the foreground entry points (:func:`serve`, the
-        CLI) additionally wire the registry's ``expansion/`` directory
-        in as the compile pipeline's warm layer via
-        ``REPRO_EXPANSION_CACHE`` unless the operator set it."""
+        (``REPRO_SERVICE_CACHE``)."""
         self.config = config or ServiceConfig()
         self.registry = registry or ArtifactRegistry()
         self.port: "int | None" = None  # actual port once listening
@@ -486,28 +483,12 @@ class CompileService:
         }
 
 
-def _wire_warm_layer(registry: ArtifactRegistry) -> None:
-    """Point the compile pipeline's expansion cache at the registry.
-
-    The registry's ``expansion/`` directory becomes the per-kernel
-    warm layer for every compile this process runs, unless the
-    operator already set ``REPRO_EXPANSION_CACHE`` themselves.  Only
-    the foreground entry points call this — embedded services
-    (tests, benchmarks) must not mutate process-global state.
-    """
-    os.environ.setdefault(
-        "REPRO_EXPANSION_CACHE", str(registry.root / "expansion")
-    )
-
-
 def serve(
     config: "ServiceConfig | None" = None,
     registry: "ArtifactRegistry | None" = None,
 ) -> None:
     """Run a compile server in the foreground until shutdown."""
-    service = CompileService(config=config, registry=registry)
-    _wire_warm_layer(service.registry)
-    asyncio.run(service.run())
+    asyncio.run(CompileService(config=config, registry=registry).run())
 
 
 class BackgroundServer:
@@ -621,7 +602,6 @@ def main(argv=None) -> int:
         request_timeout=args.timeout,
     )
     service = CompileService(config=config, registry=registry)
-    _wire_warm_layer(service.registry)
 
     async def announced():
         task = asyncio.create_task(service.run())

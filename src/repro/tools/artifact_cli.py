@@ -116,7 +116,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _format_bytes(n: int) -> str:
-    """``1234567`` → ``"1.2 MB"`` (for cache summaries)."""
+    """``1234567`` → ``"1.2 MB"`` (for registry summaries)."""
     for unit in ("B", "KB", "MB", "GB"):
         if n < 1024 or unit == "GB":
             return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
@@ -124,47 +124,13 @@ def _format_bytes(n: int) -> str:
     return f"{n} B"  # pragma: no cover - loop always returns
 
 
-def _expansion_cache_section() -> str:
-    """The expansion-cache rollup printed by ``inspect``.
-
-    Reports the cache directory, entry count, and total bytes, then
-    one line per kernel listing its stored phase-boundary snapshots
-    (the keys a warm compile will hit).  The cache may be absent or
-    empty — both render as a one-line note, not an error.
-    """
-    from repro.core.cache import expansion_cache_dir, ExpansionCache
-
-    directory = expansion_cache_dir()
-    if not directory.is_dir():
-        return (
-            "expansion cache: empty "
-            f"(no cache directory at {directory})"
-        )
-    stats = ExpansionCache(directory).stats()
-    lines = [
-        f"expansion cache: {stats['entries']} entries, "
-        f"{_format_bytes(stats['total_bytes'])} in {stats['dir']}"
-    ]
-    if stats["corrupt"]:
-        lines.append(f"  corrupt entries: {stats['corrupt']}")
-    for kernel in sorted(stats["kernels"]):
-        entries = stats["kernels"][kernel]
-        keys = ", ".join(
-            f"{e['phase']}:{e['key'][:12]}" for e in entries
-        )
-        lines.append(
-            f"  {kernel}: {len(entries)} snapshots ({keys})"
-        )
-    return "\n".join(lines)
-
-
 def _registry_section(root: Path | None) -> str:
     """The compile-service registry rollup printed by ``inspect``.
 
     One line per published artifact (fingerprint, ISA, rule count),
-    plus result-cache and expansion-warm-layer entry counts — the
-    operator's view of what ``repro-serve`` can answer without any
-    offline work.  An absent registry renders as a note, not an error.
+    plus the result-cache entry count — the operator's view of what
+    ``repro-serve`` can answer without any offline work.  An absent
+    registry renders as a note, not an error.
     """
     from repro.service.registry import ArtifactRegistry, service_cache_dir
 
@@ -174,9 +140,7 @@ def _registry_section(root: Path | None) -> str:
     stats = ArtifactRegistry(directory).stats()
     lines = [
         f"registry: {len(stats['artifacts'])} artifacts, "
-        f"{stats['n_results']} cached results, "
-        f"{stats['expansion_entries']} expansion snapshots "
-        f"({_format_bytes(stats['expansion_bytes'])}) in {stats['root']}"
+        f"{stats['n_results']} cached results in {stats['root']}"
     ]
     if stats["corrupt_artifacts"]:
         lines.append(f"  corrupt artifacts: {stats['corrupt_artifacts']}")
@@ -207,8 +171,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         return 2
     artifact = CompilerArtifact.load(args.artifact)
     print(artifact.summary())
-    print()
-    print(_expansion_cache_section())
     return 0
 
 

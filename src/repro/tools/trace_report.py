@@ -15,25 +15,22 @@ tree, and prints:
 3. a **pipeline pass rollup**: wall-clock per ``pass.<name>`` span —
    the span-level view of ``CompileReport.pass_times()``, aggregated
    across every compilation in the trace;
-4. a **pipeline stage rollup**: per-stage execution vs queue-wait
-   times from the ``pipeline.stage`` records the staged
-   ``compile_many`` emits, plus expansion-cache hit/miss tallies;
-5. a **service rollup**: compile-server health from ``service.*``
+4. a **service rollup**: compile-server health from ``service.*``
    records — queue wait, batch size, and the result-cache / in-flight
    dedupe hit rates (see ``docs/service.md``);
-6. an **isa rollup**: per-ISA-family cycles, lane utilization, and
+5. an **isa rollup**: per-ISA-family cycles, lane utilization, and
    masked-op share from the ``machine.run`` records every simulator
    run emits;
-7. a **synthesis rollup**: per-term-size enumeration timings and the
+6. a **synthesis rollup**: per-term-size enumeration timings and the
    verify batching counters carried by ``synthesize.*`` spans (the
    span-level view of ``SynthesisPerf``);
-8. a **minimize rollup**: the rule-count funnel of the minimization
+7. a **minimize rollup**: the rule-count funnel of the minimization
    stages — dominated-rule cost pruning and the derivability shrink —
    from the ``synthesize.cost_prune`` / ``synthesize.minimize``
    records;
-9. the **top-N hottest rules** by cumulative e-match time, aggregated
+8. the **top-N hottest rules** by cumulative e-match time, aggregated
    from the ``SaturationPerf`` payloads of every ``eqsat`` span;
-10. a **scheduling rollup**: every rule's match-time share next to the
+9. a **scheduling rollup**: every rule's match-time share next to the
    merges it bought, flagging zero-merge rules as disable candidates
    for ``repro-autotune`` (see :mod:`repro.tools.autotune`).
 """
@@ -42,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -381,65 +377,6 @@ def scheduling_rollup(events: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def pipeline_rollup(events: list[dict]) -> str:
-    """Stage execution vs queue-wait times from ``pipeline.stage``
-    records.
-
-    The staged ``compile_many`` (see
-    :func:`repro.compiler.pipeline.compile_many`) emits one
-    ``pipeline.stage`` record per completed stage, carrying the
-    in-worker execution seconds (``dur``) and how long the stage sat
-    ready-but-unscheduled (``wait_s``).  This section aggregates both
-    per stage kind (``start`` / ``round`` / ``optimize`` / ``finish``)
-    — high wait relative to exec means the pool is the bottleneck, not
-    the stages — and appends the expansion-cache hit/miss/corrupt
-    tallies when any cache records are present.
-    """
-    totals: dict[str, tuple[float, float, int]] = {}
-    cache: dict[str, int] = {}
-    for event in events:
-        name = event.get("name", "")
-        if name.startswith("expansion_cache."):
-            kind = name.split(".", 1)[1]
-            cache[kind] = cache.get(kind, 0) + 1
-            continue
-        if name != "pipeline.stage":
-            continue
-        attrs = event.get("attrs", {})
-        label = str(attrs.get("label", ""))
-        stage = label.rsplit(":", 1)[-1] if ":" in label else label
-        stage = re.sub(r"\d+$", "", stage) or "(unlabelled)"
-        exec_s, wait_s, count = totals.get(stage, (0.0, 0.0, 0))
-        totals[stage] = (
-            exec_s + event.get("dur", 0.0),
-            wait_s + attrs.get("wait_s", 0.0),
-            count + 1,
-        )
-    if not totals and not cache:
-        return "(no pipeline stage records in this trace)"
-    lines = []
-    if totals:
-        lines.append(
-            f"{'exec':>10}  {'wait':>10}  {'stages':>7}  stage"
-        )
-        lines.append("-" * 48)
-        for stage, (exec_s, wait_s, count) in sorted(
-            totals.items(), key=lambda kv: -kv[1][0]
-        ):
-            lines.append(
-                f"{exec_s * 1e3:>8.1f}ms  {wait_s * 1e3:>8.1f}ms"
-                f"  {count:>7}  {stage}"
-            )
-    if cache:
-        parts = ", ".join(
-            f"{cache.get(kind, 0)} {kind}"
-            for kind in ("hit", "miss", "store", "corrupt")
-            if cache.get(kind, 0)
-        )
-        lines.append(f"expansion cache: {parts}")
-    return "\n".join(lines)
-
-
 def service_rollup(events: list[dict]) -> str:
     """Serve-loop health from ``service.*`` records.
 
@@ -588,9 +525,6 @@ def render_report(
         "",
         "== pipeline passes ==",
         pass_rollup(events),
-        "",
-        "== pipeline ==",
-        pipeline_rollup(events),
         "",
         "== service ==",
         service_rollup(events),

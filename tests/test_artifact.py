@@ -21,6 +21,7 @@ from repro.core.framework import GeneratedCompiler
 from repro.egraph.runner import RunnerLimits
 from repro.isa import customized_spec, fusion_g3_spec
 from repro.isa.spec import IsaSpec
+from repro.obs import ListSink, Tracer, use_tracer
 from repro.phases.assign import PhaseParams, assign_phases, default_params
 from repro.phases.cost import CostModel
 from repro.ruler import SynthesisConfig
@@ -139,10 +140,18 @@ class TestCorruptCacheIsAMiss:
                                    cache_dir=tmp_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{ this is not json")
-        assert (
-            load_cached_artifact(spec, config, params, cache_dir=tmp_path)
-            is None
-        )
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            assert (
+                load_cached_artifact(
+                    spec, config, params, cache_dir=tmp_path
+                )
+                is None
+            )
+        corrupt = sink.by_name("artifact_cache.corrupt")
+        assert len(corrupt) == 1
+        assert corrupt[0]["attrs"]["path"] == str(path)
+        assert corrupt[0]["attrs"]["error"]
 
     def test_truncated_artifact_is_a_miss(self, spec, tmp_path):
         config = SynthesisConfig(max_term_size=3)
@@ -164,14 +173,6 @@ class TestCorruptCacheIsAMiss:
         path.write_text(json.dumps({"kind": "something-else"}))
         with pytest.raises(ArtifactError):
             CompilerArtifact.load(path)
-
-    def test_corrupt_legacy_rules_cache_is_a_miss(self, spec, tmp_path):
-        from repro.core.cache import load_cached_rules, spec_fingerprint
-
-        config = SynthesisConfig(max_term_size=3)
-        bad = tmp_path / f"rules-{spec_fingerprint(spec, config)}.txt"
-        bad.write_text("name-without-body\n")
-        assert load_cached_rules(spec, config, cache_dir=tmp_path) is None
 
     def test_framework_rebuilds_over_corrupt_cache(
         self, spec, tmp_path, monkeypatch

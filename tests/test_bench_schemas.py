@@ -29,7 +29,6 @@ _SPEEDUP_PATHS = {
     "synthesis-offline-stage": lambda r, key: r["workloads"][key][
         "speedup"
     ],
-    "compile-pipeline": lambda r, key: r[key]["speedup"],
     "compile-service": lambda r, key: r[key],
     "isa-families": lambda r, key: r[key],
     "rule-minimization": lambda r, key: r[key],
@@ -46,7 +45,6 @@ def test_bench_corpus_is_present():
         "BENCH_saturation.json",
         "BENCH_synthesis.json",
         "BENCH_schedule.json",
-        "BENCH_pipeline.json",
         "BENCH_service.json",
         "BENCH_isa.json",
         "BENCH_minimize.json",

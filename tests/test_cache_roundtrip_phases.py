@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cache import rules_from_text, rules_to_text
+from repro.core.artifact import rules_from_text, rules_to_text
 from repro.phases import CostModel, assign_phases, default_params
 
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.core.cache import (
-    load_cached_rules,
+from repro.core.artifact import (
     rules_from_text,
     rules_to_text,
     spec_fingerprint,
-    store_cached_rules,
 )
 from repro.core.pregen import DEFAULT_RULES_FILE, load_pregenerated_rules
 from repro.egraph.rewrite import parse_rewrite
@@ -64,18 +62,6 @@ class TestFingerprint:
 
 
 class TestDiskCache:
-    def test_store_and_load(self, spec, sample_rules, tmp_path):
-        config = SynthesisConfig(max_term_size=3)
-        assert (
-            load_cached_rules(spec, config, cache_dir=tmp_path) is None
-        )
-        path = store_cached_rules(
-            spec, config, sample_rules, cache_dir=tmp_path
-        )
-        assert path.exists()
-        loaded = load_cached_rules(spec, config, cache_dir=tmp_path)
-        assert [str(r) for r in loaded] == [str(r) for r in sample_rules]
-
     def test_framework_cache_roundtrip(self, spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RULE_CACHE", str(tmp_path))
         from repro.core import IsariaFramework

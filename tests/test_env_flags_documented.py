@@ -55,8 +55,6 @@ def test_known_flags_present():
         "REPRO_PARALLEL",
         "REPRO_RULE_CACHE",
         "REPRO_SCHEDULE",
-        "REPRO_EXPANSION_CACHE",
-        "REPRO_CHECKPOINT_DIR",
         "REPRO_SERVICE_PORT",
         "REPRO_SERVICE_WORKERS",
         "REPRO_SERVICE_CACHE",

@@ -2,7 +2,11 @@
 
 import dataclasses
 
+import pytest
+
+from repro.compiler import pipeline
 from repro.compiler.compile import CompileOptions, compile_term
+from repro.egraph.egraph import EGraph
 from repro.kernels import matmul_kernel
 from repro.lang.parser import parse
 
@@ -55,3 +59,34 @@ class TestRoundProgression:
         # loop must terminate quickly (no improvement possible past
         # the first expansion round)
         assert len(report.rounds) <= 2
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_pruned_rounds_restart_from_the_best_term(
+        self, isaria_compiler, monkeypatch, pruning
+    ):
+        seeds = []  # the term each new e-graph is built from
+
+        class SeedRecordingEGraph(EGraph):
+            def add_term(self, term):
+                if not seeds or seeds[-1][0] is not self:
+                    seeds.append((self, term))
+                return super().add_term(term)
+
+        monkeypatch.setattr(pipeline, "EGraph", SeedRecordingEGraph)
+        options = dataclasses.replace(
+            isaria_compiler.options, pruning=pruning, max_rounds=3
+        )
+        program = matmul_kernel(2, 2, 2).program.term
+        _t, report = isaria_compiler.compile_term(program, options=options)
+        assert len(report.rounds) >= 2
+        round_seeds = [term for _, term in seeds[:-1]]  # last: optimize
+        assert round_seeds[0] is program
+        if not pruning:
+            assert len(round_seeds) == 1  # one graph carries across rounds
+            return
+        # Each round rebuilds from the cheapest term extracted so far.
+        assert len(round_seeds) == len(report.rounds)
+        best = report.initial_cost
+        for seed, done in zip(round_seeds[1:], report.rounds):
+            best = min(best, done.extracted_cost)
+            assert isaria_compiler.cost_model.term_cost(seed) == best

@@ -1,6 +1,7 @@
 """The pass pipeline: per-pass reports, stable order, batch driver."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.compiler.compile import CompileOptions, compile_term
 from repro.compiler.pipeline import (
     CompilationContext,
     FnPass,
+    KernelCompileError,
     Pipeline,
     baseline_kernel_pipeline,
     compile_many,
@@ -15,6 +17,8 @@ from repro.compiler.pipeline import (
     term_pipeline,
 )
 from repro.compiler.frontend import trace_kernel
+from repro.egraph.runner import RunnerLimits
+from repro.kernels.specs import kernel_spec_hash
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,16 @@ def vadd_program():
     return trace_kernel(
         "vadd",
         lambda x, y: [x[i] + y[i] for i in range(4)],
+        {"x": 4, "y": 4},
+        4,
+    )
+
+
+@pytest.fixture(scope="module")
+def vmul_program():
+    return trace_kernel(
+        "vmul",
+        lambda x, y: [x[i] * y[i] for i in range(4)],
         {"x": 4, "y": 4},
         4,
     )
@@ -163,22 +177,41 @@ class TestPipelineMechanics:
         )
 
 
+def _fingerprint(kernel):
+    """Everything that must agree between serial and fanned-out compiles."""
+    return {
+        "name": kernel.name,
+        "compiled": str(kernel.compiled_term),
+        "machine": str(kernel.machine_program),
+        "final_cost": kernel.report.final_cost,
+        "initial_cost": kernel.report.initial_cost,
+        "n_rounds": len(kernel.report.rounds),
+        "passes": [(p.name, p.status) for p in kernel.report.passes],
+    }
+
+
+def _explode(original, compiled):
+    """A validator that always fails (module-level, so it pickles)."""
+    raise ValueError("synthetic validation failure")
+
+
+@pytest.fixture(scope="module")
+def serial_batch(isaria_compiler, vadd_program, vmul_program):
+    """The serial reference batch the fan-out tests compare against."""
+    return compile_many(isaria_compiler, [vadd_program, vmul_program])
+
+
 class TestCompileMany:
     def test_serial_batch_matches_individual_compiles(
-        self, isaria_compiler, vadd_program
+        self, isaria_compiler, vmul_program, serial_batch
     ):
-        other = trace_kernel(
-            "vmul",
-            lambda x, y: [x[i] * y[i] for i in range(4)],
-            {"x": 4, "y": 4},
-            4,
+        assert [k.name for k in serial_batch] == ["vadd", "vmul"]
+        single = isaria_compiler.compile_kernel(vmul_program)
+        assert str(serial_batch[1].compiled_term) == str(
+            single.compiled_term
         )
-        batch = compile_many(isaria_compiler, [vadd_program, other])
-        assert [k.name for k in batch] == ["vadd", "vmul"]
-        single = isaria_compiler.compile_kernel(other)
-        assert str(batch[1].compiled_term) == str(single.compiled_term)
         assert (
-            batch[1].report.final_cost == single.report.final_cost
+            serial_batch[1].report.final_cost == single.report.final_cost
         )
 
     def test_parallel_batch_preserves_order_and_results(
@@ -201,3 +234,84 @@ class TestCompileMany:
         assert [str(k.compiled_term) for k in fanned] == [
             str(k.compiled_term) for k in serial
         ]
+
+    @pytest.mark.parametrize("phased", [True, False])
+    def test_fan_out_matches_serial(
+        self, isaria_compiler, vadd_program, vmul_program, serial_batch,
+        monkeypatch, phased,
+    ):
+        programs = [vadd_program, vmul_program]
+        if phased:
+            options = None
+            serial = [_fingerprint(k) for k in serial_batch]
+        else:
+            options = dataclasses.replace(
+                isaria_compiler.options,
+                phased=False,
+                unphased_limits=RunnerLimits(
+                    max_iterations=4, max_nodes=12_000, time_limit=60.0
+                ),
+            )
+            serial = [
+                _fingerprint(k)
+                for k in compile_many(isaria_compiler, programs, options)
+            ]
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        fanned = [
+            _fingerprint(k)
+            for k in compile_many(isaria_compiler, programs, options,
+                                  jobs=2)
+        ]
+        assert fanned == serial
+        optimize = "ok" if phased else "skipped"
+        assert all(
+            dict(f["passes"])["optimize"] == optimize for f in serial
+        )
+
+    def test_no_pool_degrades_to_serial(
+        self, isaria_compiler, vadd_program, vmul_program, serial_batch,
+        monkeypatch,
+    ):
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        degraded = compile_many(
+            isaria_compiler, [vadd_program, vmul_program], jobs=2
+        )
+        assert [_fingerprint(k) for k in degraded] == [
+            _fingerprint(k) for k in serial_batch
+        ]
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_failing_kernel_is_named(
+        self, isaria_compiler, vadd_program, vmul_program, monkeypatch,
+        jobs,
+    ):
+        monkeypatch.setattr(isaria_compiler, "validate_equivalence",
+                            _explode)
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        with pytest.raises(KernelCompileError) as excinfo:
+            compile_many(
+                isaria_compiler, [vadd_program, vmul_program],
+                validate=True, jobs=jobs,
+            )
+        err = excinfo.value
+        assert err.kernel_key == "vadd"
+        assert err.spec_hash == kernel_spec_hash(vadd_program)
+        assert "synthetic validation failure" in err.message
+        assert "vadd" in str(err) and err.spec_hash in str(err)
+
+    def test_error_survives_pickling(self):
+        err = KernelCompileError("qprod", "ab12" * 4, "boom")
+        clone = pickle.loads(pickle.dumps(err))
+        assert isinstance(clone, KernelCompileError)
+        assert clone.kernel_key == "qprod"
+        assert clone.spec_hash == "ab12" * 4
+        assert clone.message == "boom"
+        assert str(clone) == str(err)
+
+    def test_spec_hash_is_stable_and_content_addressed(
+        self, vadd_program, vmul_program
+    ):
+        h = kernel_spec_hash(vadd_program)
+        assert h == kernel_spec_hash(vadd_program)
+        assert len(h) == 16
+        assert h != kernel_spec_hash(vmul_program)

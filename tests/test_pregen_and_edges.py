@@ -68,7 +68,7 @@ class TestEGraphEdges:
 
 class TestCacheFingerprintEdges:
     def test_allowlist_changes_fingerprint(self, spec):
-        from repro.core.cache import spec_fingerprint
+        from repro.core.artifact import spec_fingerprint
         from repro.ruler import SynthesisConfig
 
         base = SynthesisConfig(max_term_size=4)
@@ -80,7 +80,7 @@ class TestCacheFingerprintEdges:
         )
 
     def test_minimize_flag_changes_fingerprint(self, spec):
-        from repro.core.cache import spec_fingerprint
+        from repro.core.artifact import spec_fingerprint
         from repro.ruler import SynthesisConfig
 
         a = SynthesisConfig(max_term_size=4, minimize=True)

@@ -1,70 +1,37 @@
-"""Snapshot serialization and checkpoint/resume (repro.egraph.snapshot).
+"""The e-graph byte container (repro.egraph.snapshot).
 
 The contract under test: a restored e-graph is *state-identical* to
-the serialized one, so saturation continued from a snapshot produces
-byte-for-byte the same graph (and scheduler state) as a run that never
-paused.  Corrupt or version-mismatched bytes always raise
-:class:`SnapshotError` — the cache layer turns that into a miss, never
+the serialized one, so the differential tests that copy and
+byte-compare graphs through it compare like with like.  Corrupt or
+version-mismatched bytes always raise :class:`SnapshotError`, never
 a wrong answer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.compiler.frontend import trace_kernel
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import parse_rewrite
-from repro.egraph.runner import (
-    BackoffScheduler,
-    Runner,
-    RunnerLimits,
-    RuleScheduler,
-    StopReason,
-    run_saturation,
-)
+from repro.egraph.runner import RunnerLimits, run_saturation
 from repro.egraph.snapshot import (
     MAGIC,
     SNAPSHOT_VERSION,
-    SaturationCheckpoint,
     SnapshotError,
     egraph_from_doc,
     egraph_to_doc,
-    limits_digest,
     load_egraph,
     load_snapshot_meta,
-    rules_digest,
     save_egraph,
-    scheduler_from_doc,
-    scheduler_to_doc,
-    term_digest,
 )
-from repro.isa import customized_spec
 from repro.lang.parser import parse
-from repro.phases import CostModel, assign_phases, default_params
 
 _COMM = parse_rewrite("comm", "(+ ?a ?b) => (+ ?b ?a)")
 _ASSOC = parse_rewrite("assoc", "(+ (+ ?a ?b) ?c) => (+ ?a (+ ?b ?c))")
 _MUL_COMM = parse_rewrite("mul-comm", "(* ?a ?b) => (* ?b ?a)")
 _RULES = [_COMM, _ASSOC, _MUL_COMM]
-
-_BIG = RunnerLimits(max_iterations=30, max_nodes=500_000, time_limit=120.0)
-
-
-def _limits(max_iterations: int, **overrides) -> RunnerLimits:
-    """Generous node/time budgets so only the iteration cap can trip."""
-    kwargs = dict(
-        max_iterations=max_iterations,
-        max_nodes=500_000,
-        time_limit=120.0,
-    )
-    kwargs.update(overrides)
-    return RunnerLimits(**kwargs)
 
 
 def _worked_graph() -> tuple[EGraph, int]:
@@ -73,36 +40,12 @@ def _worked_graph() -> tuple[EGraph, int]:
     root = g.add_term(
         parse("(* (+ (+ (Get x 0) (Get x 1)) (Get x 2)) (Get y 0))")
     )
-    run_saturation(g, _RULES, _limits(3))
+    run_saturation(
+        g,
+        _RULES,
+        RunnerLimits(max_iterations=3, max_nodes=500_000, time_limit=120.0),
+    )
     return g, root
-
-
-@pytest.fixture(scope="module")
-def vadd_term(spec):
-    program = trace_kernel(
-        "vadd",
-        lambda x, y: [x[i] + y[i] for i in range(4)],
-        {"x": 4, "y": 4},
-        spec.vector_width,
-    )
-    return program.term
-
-
-@pytest.fixture(scope="module")
-def fusion_ruleset(spec, cost_model, synthesis_size3):
-    return assign_phases(
-        cost_model, synthesis_size3.rules, default_params(spec)
-    )
-
-
-@pytest.fixture(scope="module")
-def custom_ruleset(spec, synthesis_size3):
-    """The same rules phase-assigned under the §5.4 customized ISA."""
-    custom = customized_spec(spec, sqrtsgn=True)
-    model = CostModel(custom)
-    return assign_phases(
-        model, synthesis_size3.rules, default_params(custom)
-    )
 
 
 class TestContainer:
@@ -181,356 +124,3 @@ class TestContainer:
         doc["version"] = SNAPSHOT_VERSION + 1
         with pytest.raises(SnapshotError, match="version"):
             egraph_from_doc(doc)
-
-
-class TestDigests:
-    def test_term_digest_is_content_addressed(self):
-        a = parse("(+ (Get x 0) 1)")
-        b = parse("(+ (Get x 0) 1)")
-        c = parse("(+ (Get x 0) 2)")
-        assert term_digest(a) == term_digest(b)
-        assert term_digest(a) != term_digest(c)
-
-    def test_rules_digest_is_order_sensitive(self):
-        assert rules_digest([_COMM, _ASSOC]) == rules_digest(
-            [_COMM, _ASSOC]
-        )
-        # The saturation loop applies rules in list order, so a
-        # reordered ruleset is a different schedule.
-        assert rules_digest([_COMM, _ASSOC]) != rules_digest(
-            [_ASSOC, _COMM]
-        )
-
-    def test_limits_digest_sees_every_field(self):
-        base = RunnerLimits()
-        assert limits_digest(base) == limits_digest(RunnerLimits())
-        assert limits_digest(base) != limits_digest(
-            RunnerLimits(match_work=base.match_work + 1)
-        )
-
-
-class TestSchedulerState:
-    def test_backoff_round_trip_preserves_bans(self):
-        scheduler = BackoffScheduler(match_limit=2, ban_length=3)
-        scheduler.record(_COMM, 0, 10)  # overflow: ban + double
-        assert not scheduler.can_apply(_COMM, 1)
-        doc = scheduler_to_doc(scheduler)
-        restored = scheduler_from_doc(doc)
-        assert restored.state_dict() == scheduler.state_dict()
-        assert not restored.can_apply(_COMM, 1)
-        assert restored.threshold(_COMM) == scheduler.threshold(_COMM)
-        assert restored.any_banned(1)
-
-    def test_default_scheduler_round_trips(self):
-        restored = scheduler_from_doc(scheduler_to_doc(RuleScheduler()))
-        assert type(restored) is RuleScheduler
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(SnapshotError, match="kind"):
-            scheduler_from_doc({"kind": "bogus"})
-
-    def test_non_dict_state_raises(self):
-        with pytest.raises(SnapshotError):
-            scheduler_from_doc(["backoff"])
-
-
-class TestCheckpoint:
-    def _paused_runner(self) -> Runner:
-        g = EGraph()
-        g.add_term(
-            parse("(* (+ (+ (Get x 0) (Get x 1)) (Get x 2)) (Get y 0))")
-        )
-        runner = Runner(g, _RULES, _limits(2))
-        runner.run()
-        return runner
-
-    def test_bytes_round_trip(self):
-        runner = self._paused_runner()
-        ckpt = runner.checkpoint(meta={"phase": "expansion"})
-        restored = SaturationCheckpoint.from_bytes(ckpt.to_bytes())
-        assert restored.iterations_done == ckpt.iterations_done
-        assert restored.rules_digest == ckpt.rules_digest
-        assert restored.frontier == ckpt.frontier
-        assert restored.limits == asdict(runner.limits)
-        assert restored.scheduler == ckpt.scheduler
-        assert restored.meta["phase"] == "expansion"
-        assert restored.meta["kind"] == "checkpoint"
-        assert save_egraph(restored.egraph) == save_egraph(ckpt.egraph)
-
-    def test_file_round_trip(self, tmp_path):
-        runner = self._paused_runner()
-        path = runner.checkpoint().save(tmp_path / "deep" / "run.ckpt")
-        restored = SaturationCheckpoint.load(path)
-        assert restored.iterations_done == runner.iterations_done
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(SnapshotError, match="cannot read"):
-            SaturationCheckpoint.load(tmp_path / "absent.ckpt")
-
-    def test_plain_egraph_snapshot_is_not_a_checkpoint(self):
-        g, _ = _worked_graph()
-        with pytest.raises(SnapshotError, match="checkpoint"):
-            SaturationCheckpoint.from_bytes(save_egraph(g))
-
-    def test_resume_refuses_a_different_ruleset(self):
-        runner = self._paused_runner()
-        ckpt = runner.checkpoint()
-        with pytest.raises(SnapshotError, match="different rule list"):
-            Runner.resume(ckpt, [_COMM])
-
-    def test_resume_defaults_to_checkpointed_limits(self):
-        runner = self._paused_runner()
-        resumed = Runner.resume(
-            runner.checkpoint().to_bytes(), _RULES
-        )
-        assert resumed.limits == runner.limits
-        assert resumed.iterations_done == runner.iterations_done
-
-
-def _parity_case(term, rules, total: int, split: int, frontier: bool):
-    """Run straight-through vs split-at-``split``-then-resume."""
-    g1 = EGraph()
-    g1.add_term(term)
-    straight = Runner(g1, rules, _limits(total), frontier=frontier)
-    straight_report = straight.run()
-
-    g2 = EGraph()
-    g2.add_term(term)
-    first = Runner(g2, rules, _limits(split), frontier=frontier)
-    first.run()
-    # Full serialize → restore hop, as the checkpoint dir would do.
-    resumed = Runner.resume(
-        first.checkpoint(meta={"case": "parity"}).to_bytes(),
-        rules,
-        limits=_limits(total),
-    )
-    resumed_report = resumed.run()
-    return straight, straight_report, resumed, resumed_report
-
-
-class TestResumeParity:
-    """serialize → restore → continue ≡ never-paused, byte for byte."""
-
-    @pytest.mark.parametrize(
-        "ruleset_fixture,frontier",
-        [
-            ("fusion_ruleset", False),
-            ("fusion_ruleset", True),
-            ("custom_ruleset", False),
-        ],
-    )
-    def test_split_resume_matches_straight_through(
-        self, request, ruleset_fixture, frontier, vadd_term
-    ):
-        ruleset = request.getfixturevalue(ruleset_fixture)
-        rules = list(ruleset.expansion)
-        straight, s_report, resumed, r_report = _parity_case(
-            vadd_term, rules, total=5, split=2, frontier=frontier
-        )
-        assert save_egraph(resumed.egraph) == save_egraph(straight.egraph)
-        assert (
-            scheduler_to_doc(resumed.scheduler)
-            == scheduler_to_doc(straight.scheduler)
-        )
-        assert resumed.iterations_done == straight.iterations_done
-        assert r_report.stop_reason == s_report.stop_reason
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        depth=st.integers(min_value=2, max_value=4),
-        indices=st.lists(
-            st.integers(min_value=0, max_value=3),
-            min_size=3,
-            max_size=7,
-        ),
-        split=st.integers(min_value=1, max_value=4),
-        frontier=st.booleans(),
-    )
-    def test_property_split_resume_is_invisible(
-        self, depth, indices, split, frontier
-    ):
-        # Random left-leaning sum/product over random array reads, a
-        # random split point: pausing must never be observable.
-        sexpr = f"(Get x {indices[0]})"
-        for n, i in enumerate(indices[1:]):
-            op = "+" if n % depth else "*"
-            sexpr = f"({op} {sexpr} (Get {'xy'[i % 2]} {i}))"
-        term = parse(sexpr)
-        straight, _, resumed, _ = _parity_case(
-            term, _RULES, total=split + 2, split=split,
-            frontier=frontier,
-        )
-        assert save_egraph(resumed.egraph) == save_egraph(straight.egraph)
-        assert (
-            scheduler_to_doc(resumed.scheduler)
-            == scheduler_to_doc(straight.scheduler)
-        )
-
-    def test_resume_after_deadline_matches_straight_run(
-        self, fusion_ruleset, vadd_term
-    ):
-        """The ISSUE regression: a deadline stop resumes losslessly."""
-        rules = list(fusion_ruleset.expansion)
-        g1 = EGraph()
-        g1.add_term(vadd_term)
-        straight = Runner(g1, rules, _limits(4))
-        s_report = straight.run()
-
-        g2 = EGraph()
-        g2.add_term(vadd_term)
-        tripped = Runner(g2, rules, _limits(4, time_limit=0.0))
-        t_report = tripped.run()
-        assert t_report.stop_reason is StopReason.TIME_LIMIT
-
-        resumed = Runner.resume(
-            tripped.checkpoint(meta={"phase": "expansion"}).to_bytes(),
-            rules,
-            limits=_limits(4),
-        )
-        r_report = resumed.run()
-        assert r_report.stop_reason == s_report.stop_reason
-        assert resumed.iterations_done == straight.iterations_done
-        assert save_egraph(resumed.egraph) == save_egraph(straight.egraph)
-
-
-class TestPhaseCheckpointFiles:
-    """REPRO_CHECKPOINT_DIR wiring in the compile pipeline."""
-
-    def test_deadline_phase_writes_resumable_checkpoint(
-        self, tmp_path, monkeypatch, fusion_ruleset, vadd_term
-    ):
-        from repro.compiler.pipeline import _run_phase
-        from repro.obs import ListSink, Tracer, use_tracer
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        rules = list(fusion_ruleset.expansion)
-        g = EGraph()
-        g.add_term(vadd_term)
-        sink = ListSink()
-        with use_tracer(Tracer(sink)):
-            report = _run_phase(
-                g, rules, "expansion",
-                _limits(4, time_limit=0.0),
-                None, label="unit test/vadd",
-            )
-        assert report.stop_reason is StopReason.TIME_LIMIT
-        path = tmp_path / "unit-test-vadd-expansion.ckpt"
-        assert path.exists()
-        writes = [
-            e for e in sink.events if e["name"] == "checkpoint.write"
-        ]
-        assert writes and writes[0]["attrs"]["path"] == str(path)
-
-        resumed = Runner.resume(path, rules, limits=_limits(4))
-        assert resumed.run().n_iterations > 0
-
-    def test_no_checkpoint_on_clean_finish(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.compiler.pipeline import _run_phase
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        g = EGraph()
-        g.add_term(parse("(+ (Get x 0) (Get y 0))"))
-        report = _run_phase(
-            g, [_COMM], "expansion", _limits(10), None, label="clean"
-        )
-        assert report.stop_reason is StopReason.SATURATED
-        assert list(tmp_path.iterdir()) == []
-
-    def test_budget_retry_resumes_and_matches_straight_run(
-        self, tmp_path, monkeypatch, fusion_ruleset, vadd_term
-    ):
-        """Re-running a tripped phase with a larger budget pays only
-        the *new* iterations and lands byte-identical to a straight
-        run that had the larger budget from the start."""
-        from repro.compiler.pipeline import _run_phase
-        from repro.obs import ListSink, Tracer, use_tracer
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ck"))
-        rules = list(fusion_ruleset.expansion)
-
-        g1 = EGraph()
-        g1.add_term(vadd_term)
-        first = _run_phase(
-            g1, rules, "expansion", _limits(2), None, label="vadd"
-        )
-        assert first.stop_reason is StopReason.ITERATION_LIMIT
-        assert (tmp_path / "ck" / "vadd-expansion.ckpt").exists()
-
-        g2 = EGraph()
-        g2.add_term(vadd_term)
-        sink = ListSink()
-        with use_tracer(Tracer(sink)):
-            second = _run_phase(
-                g2, rules, "expansion", _limits(4), None, label="vadd"
-            )
-        assert "checkpoint.resume" in [e["name"] for e in sink.events]
-        # Only the iterations past the checkpoint are paid for: at most
-        # 2 more here (it may saturate sooner), never the 2 replayed.
-        assert 1 <= second.n_iterations <= 2
-
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR")
-        g3 = EGraph()
-        g3.add_term(vadd_term)
-        straight = _run_phase(
-            g3, rules, "expansion", _limits(4), None, label="vadd"
-        )
-        assert save_egraph(g2) == save_egraph(g3)
-        assert second.stop_reason == straight.stop_reason
-
-    def test_checkpoint_for_a_different_input_is_ignored(
-        self, tmp_path, monkeypatch, fusion_ruleset, vadd_term
-    ):
-        """A label collision across different inputs must not resume:
-        the input-digest guard treats the file as stale."""
-        from repro.compiler.pipeline import _run_phase
-        from repro.obs import ListSink, Tracer, use_tracer
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        rules = list(fusion_ruleset.expansion)
-        g1 = EGraph()
-        g1.add_term(vadd_term)
-        _run_phase(g1, rules, "expansion", _limits(2), None, label="k")
-        assert (tmp_path / "k-expansion.ckpt").exists()
-
-        other = parse("(* (Get x 0) (Get y 1))")
-        g2 = EGraph()
-        g2.add_term(other)
-        sink = ListSink()
-        with use_tracer(Tracer(sink)):
-            _run_phase(g2, rules, "expansion", _limits(2), None, label="k")
-        names = [e["name"] for e in sink.events]
-        assert "checkpoint.stale" in names
-        assert "checkpoint.resume" not in names
-
-        # The fresh run matches a no-checkpoint run of the same input.
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR")
-        g3 = EGraph()
-        g3.add_term(other)
-        _run_phase(g3, rules, "expansion", _limits(2), None, label="k")
-        assert save_egraph(g2) == save_egraph(g3)
-
-    def test_saturating_retry_consumes_the_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.compiler.pipeline import _run_phase
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        term = parse("(+ (Get x 0) (Get y 0))")
-        g1 = EGraph()
-        g1.add_term(term)
-        first = _run_phase(
-            g1, [_COMM], "expansion", _limits(1), None, label="sat"
-        )
-        assert first.stop_reason is StopReason.ITERATION_LIMIT
-        path = tmp_path / "sat-expansion.ckpt"
-        assert path.exists()
-
-        g2 = EGraph()
-        g2.add_term(term)
-        second = _run_phase(
-            g2, [_COMM], "expansion", _limits(10), None, label="sat"
-        )
-        assert second.stop_reason is StopReason.SATURATED
-        assert not path.exists()

@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.core.cache import rules_from_text
+from repro.core.artifact import rules_from_text
 
 
 class TestRegenRules:
