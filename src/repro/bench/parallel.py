@@ -10,10 +10,14 @@ to reason about parallelism:
 - **Deterministic ordering**: results always come back in input order,
   regardless of completion order.
 - **Graceful degradation**: if process pools are unavailable (no
-  ``fork``/semaphores in a sandbox), a task's payload doesn't pickle,
-  or a worker dies, the affected tasks are recomputed serially in this
-  process — the answer is identical, only slower.  ``REPRO_PARALLEL=0``
-  forces the serial path outright.
+  ``fork``/semaphores in a sandbox), a task's payload or result
+  doesn't pickle, or a worker dies, the affected tasks are recomputed
+  serially in this process — the answer is identical, only slower.
+  ``REPRO_PARALLEL=0`` forces the serial path outright.
+- **Task errors run once**: an exception the task itself raises in a
+  worker comes back as the task's outcome and is re-raised in the
+  caller (first failing task in input order), without recomputing
+  the task.
 - **Per-task timeouts**: a hung worker only costs ``task_timeout``
   seconds; its task is recomputed serially and the pool is abandoned
   without waiting for stragglers.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import traceback
 from typing import Callable, Iterable, Sequence
 
 _FALSY = ("0", "false", "no", "off")
@@ -90,22 +95,28 @@ def parallel_map(
     results = []
     try:
         try:
-            futures = [executor.submit(fn, item) for item in items]
+            guarded = _Guarded(fn)
+            futures = [executor.submit(guarded, item) for item in items]
         except Exception:
             abandoned = True
             return [fn(item) for item in items]
         for item, future in zip(items, futures):
             try:
-                results.append(future.result(timeout=task_timeout))
+                outcome = future.result(timeout=task_timeout)
             except concurrent.futures.TimeoutError:
                 # Hung worker: recompute here, stop waiting on the pool.
                 abandoned = True
                 results.append(fn(item))
+                continue
             except Exception:
-                # Worker crash or unpicklable payload: the serial
-                # recomputation either produces the value or raises the
-                # task's genuine error in the caller's process.
+                # Worker crash, or a payload or result that does not
+                # pickle: the serial recomputation either produces the
+                # value or raises the task's genuine error here.
                 results.append(fn(item))
+                continue
+            if isinstance(outcome, _TaskError):
+                raise outcome.error from _RemoteTraceback(outcome.text)
+            results.append(outcome)
         return results
     finally:
         if abandoned:
@@ -141,3 +152,39 @@ class _StarCall:
 
     def __call__(self, args):
         return self._fn(*args)
+
+
+class _TaskError:
+    """A task's own exception, returned from a worker as its outcome."""
+
+    __slots__ = ("error", "text")
+
+    def __init__(self, error: Exception, text: str):
+        self.error = error
+        self.text = text
+
+
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained as a re-raised error's cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+class _Guarded:
+    """Picklable ``fn(item)`` that returns the task's exception as a value.
+
+    A worker exception would otherwise reach the caller only as a
+    failed future, indistinguishable from a pool failure.
+    """
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn: Callable):
+        self._fn = fn
+
+    def __call__(self, item):
+        try:
+            return self._fn(item)
+        except Exception as exc:
+            return _TaskError(exc, traceback.format_exc())

@@ -42,7 +42,7 @@ from repro.compiler.compile import (
 from repro.egraph.egraph import EGraph
 from repro.egraph.runner import RunnerLimits, RunnerReport, run_saturation
 from repro.egraph.scheduling import ScheduleSpec, schedule_from_env
-from repro.lang.term import Term
+from repro.lang.term import Term, is_wildcard
 from repro.obs import current_tracer
 from repro.phases.cost import CostModel
 from repro.phases.ruleset import PhasedRuleSet
@@ -272,7 +272,8 @@ class SaturatePass(Pass):
                 )
             ctx.egraph, ctx.root = egraph, root
             ctx.unphased_report = sat_report
-            return {"mode": "unphased", "iterations": sat_report.iterations}
+            return {"mode": "unphased",
+                    "n_iterations": sat_report.n_iterations}
 
         # --- the Fig. 3 loop: expansion → compilation → extract, pruned --
         current = ctx.term
@@ -353,6 +354,14 @@ class OptimizePass(Pass):
     the optimization rules, and leaves the e-graph for ``extract``.
     Skipped under ``phased=False`` (the unphased saturation already
     included every rule).
+
+    Identity-introduction rules (a bare-wildcard LHS such as
+    ``?a => (VecAdd ?a (Vec 0 ...))``) stay out of this saturation.
+    They pad e-classes for a later compilation phase to lift, and the
+    runner applies them uncapped; with no compilation phase after
+    this one, the padding only gives the other rules more to match
+    and lowers no bundled kernel's cost.  The rules keep their phase
+    membership in the rule set and the artifact.
     """
 
     name = "optimize"
@@ -363,16 +372,20 @@ class OptimizePass(Pass):
             return SKIPPED
         egraph = EGraph()
         root = egraph.add_term(ctx.current)
+        rules = [
+            rule for rule in ctx.ruleset.optimization
+            if not is_wildcard(rule.lhs)
+        ]
         with current_tracer().span("phase.optimization"):
             ctx.report.optimization = _run_phase(
                 egraph,
-                list(ctx.ruleset.optimization),
+                rules,
                 "optimization",
                 ctx.options.optimization_limits,
                 _active_schedule(ctx),
             )
         ctx.egraph, ctx.root = egraph, root
-        return {"iterations": ctx.report.optimization.iterations}
+        return {"n_iterations": ctx.report.optimization.n_iterations}
 
 
 class ExtractPass(Pass):

@@ -371,8 +371,11 @@ def _run_saturation(
                 # every class exactly once and the e-graph unions the
                 # new term back into the matched class, so they are
                 # self-limiting (§2.2's "dangerous" rule is tame here).
-                # Capping them would leave most classes unpadded and
-                # starve the compilation phase of lane variants.
+                # The exemption serves the expansion phase: capping
+                # these rules would leave most classes unpadded and
+                # starve the compilation phase of lane variants.  The
+                # optimization pass, with no compilation phase after
+                # it, never hands such rules over.
                 stats = apply_rewrite(
                     egraph,
                     rule,

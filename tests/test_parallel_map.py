@@ -7,6 +7,8 @@ auto-sizing path.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.bench.parallel import parallel_map, parallel_starmap, parallel_workers
@@ -25,6 +27,31 @@ def _boom(x):
     if x == 3:
         raise ValueError("worker failure")
     return -x
+
+
+def _logged_boom(args):
+    """Log each call to a file (workers share no memory), then fail on
+    the odd items."""
+    x, log = args
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    if x % 2:
+        raise ValueError(f"task {x} failed")
+    return x
+
+
+class _Unpicklable(Exception):
+    """An error carrying a lock, so it cannot cross a process boundary."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_unpicklable(x):
+    if x == 2:
+        raise _Unpicklable("stuck in the worker")
+    return x
 
 
 def _slow_then_value(x):
@@ -79,11 +106,29 @@ class TestParallelMap:
         # Below min_items the pool is skipped entirely.
         assert parallel_map(_square, [7], max_workers=2) == [49]
 
-    def test_worker_exception_falls_back_to_serial(self):
-        # A failed task is recomputed serially, so the caller sees the
-        # original exception, not a pool artifact.
+    def test_worker_exception_reaches_caller(self):
+        # A failed task's own exception comes back as its outcome, so
+        # the caller sees the original exception, not a pool artifact.
         with pytest.raises(ValueError, match="worker failure"):
             parallel_map(_boom, [1, 2, 3, 4], max_workers=2)
+
+    def test_failed_task_runs_once(self, tmp_path):
+        # The worker's exception is re-raised, not recomputed: every
+        # item, failing or not, runs exactly once, and the first
+        # failure in input order is the one raised.
+        log = str(tmp_path / "calls.log")
+        items = [(x, log) for x in range(6)]
+        with pytest.raises(ValueError, match="task 1 failed"):
+            parallel_map(_logged_boom, items, max_workers=2)
+        with open(log) as fh:
+            calls = sorted(int(line) for line in fh)
+        assert calls == list(range(6))
+
+    def test_unpicklable_exception_still_surfaces(self):
+        # The error cannot travel back from the worker, so the task is
+        # recomputed here and raises its genuine exception.
+        with pytest.raises(_Unpicklable, match="stuck in the worker"):
+            parallel_map(_raise_unpicklable, [1, 2, 3], max_workers=2)
 
     def test_unpicklable_fn_degrades_to_serial(self):
         results = parallel_map(lambda x: x + 1, [1, 2, 3, 4], max_workers=2)

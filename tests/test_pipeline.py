@@ -1,6 +1,8 @@
 """The pass pipeline: per-pass reports, stable order, batch driver."""
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -80,6 +82,15 @@ class TestPassReports:
             kernel.machine_program.instrs
         )
 
+    def test_optimize_detail_is_an_iteration_count(self, compiled_report):
+        # A count, not the RunnerReport's IterationReport list: the
+        # per-iteration detail lives in the eqsat.iteration spans.
+        detail = {p.name: p.detail for p in compiled_report.passes}
+        optimize = detail["optimize"]
+        assert json.loads(json.dumps(optimize)) == optimize == {
+            "n_iterations": compiled_report.optimization.n_iterations,
+        }
+
     def test_disabled_validation_reports_skipped(
         self, isaria_compiler, vadd_program
     ):
@@ -107,6 +118,11 @@ class TestAblationStability:
             "saturate", "optimize", "extract",
         ]
         assert dict(passes)["optimize"] == "skipped"
+        saturate = report.passes[0].detail
+        assert json.loads(json.dumps(saturate)) == saturate == {
+            "mode": "unphased",
+            "n_iterations": report.rounds[0].compilation.n_iterations,
+        }
         # Report shape of the ablation is unchanged by the pipeline.
         assert len(report.rounds) == 1
         assert report.rounds[0].expansion is None
@@ -193,6 +209,20 @@ def _fingerprint(kernel):
 def _explode(original, compiled):
     """A validator that always fails (module-level, so it pickles)."""
     raise ValueError("synthetic validation failure")
+
+
+class _LoggedExplode:
+    """A failing validator that logs each call's source term to a file
+    (workers share no memory; an instance pickles by its path)."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __call__(self, original, compiled):
+        digest = hashlib.sha256(str(original).encode()).hexdigest()
+        with open(self.path, "a") as fh:
+            fh.write(digest + "\n")
+        raise ValueError("synthetic validation failure")
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +328,28 @@ class TestCompileMany:
         assert err.spec_hash == kernel_spec_hash(vadd_program)
         assert "synthetic validation failure" in err.message
         assert "vadd" in str(err) and err.spec_hash in str(err)
+
+    def test_failing_kernels_compile_once_in_fan_out(
+        self, isaria_compiler, vadd_program, vmul_program, monkeypatch,
+        tmp_path,
+    ):
+        # Each kernel's validator runs once per compile: a worker's
+        # failure must reach the caller without a serial recompile.
+        log = tmp_path / "validations.log"
+        monkeypatch.setattr(isaria_compiler, "validate_equivalence",
+                            _LoggedExplode(log))
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        with pytest.raises(KernelCompileError) as excinfo:
+            compile_many(
+                isaria_compiler, [vadd_program, vmul_program],
+                validate=True, jobs=2,
+            )
+        assert excinfo.value.kernel_key == "vadd"
+        expected = sorted(
+            hashlib.sha256(str(p.term).encode()).hexdigest()
+            for p in (vadd_program, vmul_program)
+        )
+        assert sorted(log.read_text().split()) == expected
 
     def test_error_survives_pickling(self):
         err = KernelCompileError("qprod", "ab12" * 4, "boom")
