@@ -22,6 +22,7 @@ from repro.obs import current_tracer
 from repro.phases.assign import PhaseParams, assign_phases, default_params
 from repro.phases.cost import CostModel
 from repro.phases.ruleset import PhasedRuleSet
+from repro.ruler.cvec import CvecEvaluator, side_values
 from repro.ruler.synthesize import (
     SynthesisConfig,
     SynthesisResult,
@@ -231,19 +232,26 @@ class GeneratedCompiler:
 
         A direct consequence of rule soundness, but checked anyway —
         it would catch bugs in the e-graph or extraction, not just in
-        the rules.
+        the rules.  The ``n_samples`` random environments are drawn up
+        front and both terms evaluate as value rows on one
+        :class:`~repro.ruler.cvec.CvecEvaluator`, so leaves and shared
+        subterms are computed once; the rows are compared environment
+        by environment, in draw order.  When batched evaluation raises,
+        the per-environment loop decides the outcome, as it did before
+        (see :func:`~repro.ruler.cvec.side_values`).
         """
         from repro.interp.env import term_inputs
 
-        interpreter = self.spec.interpreter()
         rng = random.Random(seed)
         inputs = sorted(
             set(term_inputs(original)) | set(term_inputs(compiled))
         )
-        for _ in range(n_samples):
-            env = {atom: rng.uniform(-3.0, 3.0) for atom in inputs}
-            left = interpreter.evaluate(original, env)
-            right = interpreter.evaluate(compiled, env)
+        envs = [
+            {atom: rng.uniform(-3.0, 3.0) for atom in inputs}
+            for _ in range(n_samples)
+        ]
+        evaluator = CvecEvaluator(self.spec.interpreter(), envs)
+        for env, left, right in side_values(evaluator, original, compiled):
             if not values_equal(left, right):
                 raise ValidationError(
                     f"compiled program differs from source on {env}: "

@@ -290,7 +290,10 @@ def run_saturation(
     When tracing is enabled (see :mod:`repro.obs`) the run emits an
     ``eqsat`` span carrying the stop reason and the
     :class:`SaturationPerf` counters, with one ``eqsat.iteration``
-    child span per completed iteration.
+    child span per completed iteration.  The spans' per-rule maps
+    (``rule_match_time``, ``rule_node_visits``, ``rule_unions``,
+    ``applied``) hold only their non-zero entries: a rule missing from
+    one did no such work.
     """
     tracer = current_tracer()
     with tracer.span(
@@ -299,14 +302,24 @@ def run_saturation(
         report = _run_saturation(egraph, rules, limits, scheduler,
                                  frontier, tracer)
         if sat_span.enabled:
+            perf = report.perf.as_dict()
+            for key in ("rule_match_time", "rule_node_visits",
+                        "rule_unions"):
+                perf[key] = _nonzero(perf[key])
             sat_span.add(
                 stop_reason=report.stop_reason.value,
                 iterations=report.n_iterations,
                 n_nodes=egraph.n_nodes,
                 n_classes=egraph.n_classes,
-                **report.perf.as_dict(),
+                **perf,
             )
     return report
+
+
+def _nonzero(per_rule: dict) -> dict:
+    """The entries of a per-rule map that are not zero (trace payloads
+    name only the rules that did the work)."""
+    return {name: value for name, value in per_rule.items() if value}
 
 
 def _run_saturation(
@@ -424,7 +437,7 @@ def _run_saturation(
                     n_nodes=iter_report.n_nodes,
                     n_classes=iter_report.n_classes,
                     n_unions=iter_report.n_unions,
-                    applied=dict(iter_report.applied),
+                    applied=_nonzero(iter_report.applied),
                 )
             if frontier:
                 roots = egraph.take_touched()

@@ -72,15 +72,21 @@ def random_env(
     return env
 
 
-def corner_envs(inputs: Sequence, limit: int = 64) -> list[Env]:
+def corner_envs(
+    inputs: Sequence,
+    limit: int = 64,
+    values: Sequence = CORNER_VALUES,
+) -> list[Env]:
     """Environments drawn from the cartesian product of corner values.
 
     For few inputs this is exhaustive over the corner set; for many it
-    is truncated to ``limit`` deterministic combinations.
+    is truncated to ``limit`` deterministic combinations.  ``values``
+    replaces the corner set (rule verification appends a rule's own
+    constants).
     """
     envs: list[Env] = []
     for combo in itertools.islice(
-        itertools.product(CORNER_VALUES, repeat=len(inputs)), limit
+        itertools.product(values, repeat=len(inputs)), limit
     ):
         envs.append(dict(zip(inputs, combo)))
     return envs
@@ -91,10 +97,11 @@ def sample_envs(
     n_random: int = 24,
     seed: int = 0,
     corner_limit: int = 64,
+    corner_values: Sequence = CORNER_VALUES,
 ) -> list[Env]:
     """Corner-case environments followed by seeded random ones."""
     rng = random.Random(seed)
-    envs = corner_envs(inputs, limit=corner_limit)
+    envs = corner_envs(inputs, limit=corner_limit, values=corner_values)
     envs.extend(random_env(inputs, rng) for _ in range(n_random))
     return envs
 

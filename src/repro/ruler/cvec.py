@@ -24,6 +24,11 @@ Two evaluation paths produce cvecs:
 Both paths perform the identical arithmetic per environment, so their
 fingerprints agree exactly — ``tests/test_cvec_differential.py`` fuzzes
 this invariant across the bundled ISAs.
+
+:func:`side_values` pairs two terms' rows environment by environment.
+Rule verification and the compiler's translation validation both check
+through it, on the rule's sample grid and on a compile's random
+samples respectively.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.interp.env import sample_envs
+from repro.interp.env import CORNER_VALUES, sample_envs
 from repro.interp.interpreter import Interpreter
 from repro.interp.value import UNDEFINED
+from repro.lang.ops import CONST, GET, SYMBOL, OpKind
 from repro.lang.term import Term
 
 
@@ -104,6 +110,25 @@ def cvec_of(
     return tuple(values)
 
 
+def _lanewise(fn, args: tuple):
+    """``fn`` applied lane by lane to ``args`` when they are all vectors
+    of one width (a lane that yields None or UNDEFINED collapses the
+    vector to UNDEFINED, as :func:`~repro.interp.value.make_vector`
+    does); None for any other mix of arguments."""
+    first = args[0]
+    if not isinstance(first, tuple):
+        return None
+    width = len(first)
+    for a in args:
+        if not isinstance(a, tuple) or len(a) != width:
+            return None
+    lanes = tuple(map(fn, *args))
+    for lane in lanes:
+        if lane is None or lane is UNDEFINED:
+            return UNDEFINED
+    return lanes
+
+
 class CvecEvaluator:
     """Batched, caching cvec evaluation over a fixed environment grid.
 
@@ -165,27 +190,61 @@ class CvecEvaluator:
         """``term``'s row from its children's rows — one batched
         application of the root operator.
 
-        Scalar lane-function nodes take the fast path; leaves,
-        structural forms (``Vec``/``Concat``/``List``) and
-        vector-valued arguments fall back to the interpreter's
-        single-node semantics per environment, so any term the tree
-        interpreter accepts is handled identically here.
+        Rows are built vector-natively: ``Symbol``/``Get`` leaves read
+        the grid directly, ``Vec`` packs its lane rows, and a lane
+        function applies across the grid — to scalar arguments
+        directly and, for a vector instruction, lane-wise in place to
+        equal-width vector arguments.  Everything else (``Concat``,
+        ``List``, a missing binding, UNDEFINED or mismatched arguments)
+        takes the interpreter's single-node semantics per environment,
+        so every value and every :class:`EvalError` is the tree
+        interpreter's.
         """
         self.perf.batched_evals += 1
-        interp = self._interp
-        if term.args:
-            fn = interp.lane_fn(term.op)
+        op = term.op
+        if not term.args:
+            if op == CONST:
+                return (term.payload,) * len(self.envs)
+            if op == SYMBOL or op == GET:
+                key = term.payload
+                try:
+                    return tuple([env[key] for env in self.envs])
+                except KeyError:
+                    pass  # unbound here: the interpreter's lookup
+        elif op == "Vec":
+            return self._vec_row(term, child_rows)
+        elif op != "Concat" and op != "List":
+            interp = self._interp
+            fn = interp.lane_fn(op)
             if fn is not None:
-                return self._apply(term, fn, child_rows)
+                lanewise = interp.op_kind(op) is OpKind.VECTOR
+                return self._apply(term, fn, child_rows, lanewise)
         # Structural op or leaf: exact per-env node semantics.
+        evaluate_node = self._interp.evaluate_node
         if child_rows:
             arg_iter = zip(*child_rows)
         else:
             arg_iter = (() for _ in self.envs)
         return tuple(
-            interp.evaluate_node(term, args, env)
+            evaluate_node(term, args, env)
             for env, args in zip(self.envs, arg_iter)
         )
+
+    def _vec_row(self, term: Term, child_rows: tuple) -> tuple:
+        """A ``Vec`` row: each environment's defined scalar lanes are
+        its vector; an UNDEFINED lane (checked first) or a vector lane
+        takes the interpreter's node semantics."""
+        evaluate_node = self._interp.evaluate_node
+        out = []
+        append = out.append
+        for lanes in zip(*child_rows):
+            for lane in lanes:
+                if lane is UNDEFINED or isinstance(lane, tuple):
+                    append(evaluate_node(term, lanes, None))
+                    break
+            else:
+                append(lanes)
+        return tuple(out)
 
     def apply_lane_fn(self, fn, child_rows: tuple) -> tuple:
         """One lane function applied across the grid (the enumeration
@@ -222,22 +281,37 @@ class CvecEvaluator:
                     append(UNDEFINED if r is None else r)
         return tuple(out)
 
-    def _apply(self, term: Term, fn, child_rows: tuple) -> tuple:
-        """Lane-function application with per-value vector fallback."""
-        interp = self._interp
+    def _apply(
+        self, term: Term, fn, child_rows: tuple, lanewise: bool
+    ) -> tuple:
+        """Lane-function application across the grid.
+
+        Defined scalar arguments apply ``fn`` directly.  With
+        ``lanewise`` (a vector instruction), arguments that are all
+        vectors of one width apply ``fn`` lane by lane, a None lane
+        collapsing the vector to UNDEFINED.  Any other mix — an
+        UNDEFINED argument, a vector argument of a scalar op, mixed or
+        mismatched widths — takes the interpreter's node semantics
+        (UNDEFINED, or its EvalError), which never consult the env for
+        interior nodes.
+        """
+        evaluate_node = self._interp.evaluate_node
         out = []
         append = out.append
         for args in zip(*child_rows):
-            if any(a is UNDEFINED for a in args):
-                append(UNDEFINED)
-            elif any(isinstance(a, tuple) for a in args):
-                # Vector argument: delegate to the interpreter's node
-                # semantics (lane-wise apply or EvalError), which never
-                # consults the env for interior nodes.
-                append(interp.evaluate_node(term, args, None))
+            for a in args:
+                if a is UNDEFINED or isinstance(a, tuple):
+                    break
             else:
                 r = fn(*args)
                 append(UNDEFINED if r is None else r)
+                continue
+            if lanewise:
+                vector = _lanewise(fn, args)
+                if vector is not None:
+                    append(vector)
+                    continue
+            append(evaluate_node(term, args, None))
         return tuple(out)
 
     # -- fingerprints ----------------------------------------------------
@@ -291,6 +365,41 @@ class CvecEvaluator:
         return self.intern(fingerprint)
 
 
+def side_values(evaluator: CvecEvaluator, left: Term, right: Term):
+    """``(env, left value, right value)`` over the evaluator's grid, in
+    order.
+
+    Both terms evaluate as rows on the one evaluator, so their shared
+    leaves and subterms are computed once.  Under
+    ``REPRO_LEGACY_CVEC=1``, or when batched evaluation raises, the
+    per-environment loop (one tree interpretation of each term per
+    environment, left first) runs instead.  It yields lazily, so a
+    caller that stops at a mismatch in an earlier environment than the
+    failing one ends exactly as that loop always did, and one that
+    gets there sees the loop's own exception.  Rows cached before a
+    failing node stay valid for later calls.  The path taken is
+    counted on ``evaluator.perf``.
+    """
+    envs = evaluator.envs
+    perf = evaluator.perf
+    if not legacy_cvec_requested():
+        try:
+            rows = evaluator.row_of(left), evaluator.row_of(right)
+        except Exception:
+            # Whatever the grid raised, the loop below raises it again
+            # at the environment the per-environment order reaches it,
+            # unless a mismatch comes first.
+            pass
+        else:
+            perf.verify_batched_terms += 2
+            return zip(envs, *rows)
+    perf.verify_legacy_terms += 2
+    evaluate = evaluator._interp.evaluate
+    return (
+        (env, evaluate(left, env), evaluate(right, env)) for env in envs
+    )
+
+
 class GridCache:
     """The sample grids of one checking pass, one per check signature.
 
@@ -330,12 +439,17 @@ class GridCache:
         return evaluator
 
     def samples(
-        self, names: tuple, n_random: int, seed: int, perf=None
+        self, names: tuple, n_random: int, seed: int, perf=None,
+        corners: tuple = (),
     ) -> CvecEvaluator:
-        """The evaluator over ``sample_envs(names, n_random, seed)``."""
+        """The evaluator over ``sample_envs(names, n_random, seed)``,
+        its corner values extended by ``corners``."""
         return self.evaluator(
-            ("samples", names, n_random, seed),
-            lambda: sample_envs(names, n_random=n_random, seed=seed),
+            ("samples", names, n_random, seed, corners),
+            lambda: sample_envs(
+                names, n_random=n_random, seed=seed,
+                corner_values=CORNER_VALUES + corners,
+            ),
             perf,
         )
 

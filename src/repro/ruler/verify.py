@@ -21,11 +21,13 @@ Fuzzing reuses the batched :class:`~repro.ruler.cvec.CvecEvaluator`:
 each rule side is one cached DAG walk over the whole sample grid
 instead of ``n_samples`` independent tree interpretations.  A check's
 grid depends only on its signature (check kind, wildcard names and
-kinds, sample count, seed), so a pass of many checks shares one grid
-and one row cache per signature (:class:`~repro.ruler.cvec.GridCache`,
-:func:`verify_rules`).  A side the batched path cannot evaluate (an
-:class:`EvalError` mid-grid) falls back to the historical
-per-environment loop, which also runs outright under
+kinds, sample count, seed and, for a rationally-equal rule, the extra
+corner values of :func:`definedness_corners`), so a pass of many
+checks shares one grid and one row cache per signature
+(:class:`~repro.ruler.cvec.GridCache`, :func:`verify_rules`).  Both
+sides pair up through :func:`~repro.ruler.cvec.side_values`: a side
+the batched path cannot evaluate (an error mid-grid) falls back to the
+historical per-environment loop, which also runs outright under
 ``REPRO_LEGACY_CVEC=1`` — either way the verdict, method and
 counterexample are identical.
 """
@@ -36,17 +38,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from repro.interp.interpreter import EvalError, Interpreter
+from repro.interp.env import CORNER_VALUES
+from repro.interp.interpreter import Interpreter
 from repro.interp.value import UNDEFINED, values_equal
 from repro.isa.spec import IsaSpec
 from repro.lang import term as T
 from repro.lang.pattern import wildcards_of
 from repro.lang.term import Term
-from repro.ruler.cvec import (
-    CvecEvaluator,
-    GridCache,
-    legacy_cvec_requested,
-)
+from repro.ruler.cvec import GridCache, side_values
 from repro.ruler.stats import SynthesisPerf
 
 # Ops whose lane semantics are polynomial in their inputs.
@@ -289,19 +288,21 @@ def verify_rule(
                     False, "exact", "rational normal forms differ"
                 )
             rationally_equal = verdict is True
+    corners: tuple = ()
     if rationally_equal:
         n_samples = min(n_samples, 12)
+        corners = definedness_corners(lhs, rhs)
 
     if grids is None:
         grids = GridCache(spec.interpreter())
-    # The grid is a function of (names, effective sample count, seed)
-    # alone: rules with one signature fuzz the same inputs whether or
-    # not they share the cache, and sharing it across signatures
-    # would change them.
+    # The grid is a function of (names, effective sample count, seed,
+    # extra corners) alone: rules with one signature fuzz the same
+    # inputs whether or not they share the cache, and sharing it
+    # across signatures would change them.
     names = _rule_names(lhs, rhs)
-    evaluator = grids.samples(names, n_samples, seed, perf)
-    for env, left, right in _side_values(
-        pattern_to_term(lhs), pattern_to_term(rhs), grids, evaluator, perf
+    evaluator = grids.samples(names, n_samples, seed, perf, corners)
+    for env, left, right in side_values(
+        evaluator, pattern_to_term(lhs), pattern_to_term(rhs)
     ):
         if rationally_equal:
             # Values already proven equal; only undefinedness
@@ -320,41 +321,24 @@ def verify_rule(
     return VerifyResult(True, "exact" if rationally_equal else "fuzz")
 
 
-def _side_values(
-    lhs_term: Term,
-    rhs_term: Term,
-    grids: GridCache,
-    evaluator: CvecEvaluator,
-    perf: SynthesisPerf | None,
-):
-    """``(env, left, right)`` over the evaluator's grid (one of
-    ``grids``), in order.
+def definedness_corners(lhs: Term, rhs: Term) -> tuple:
+    """The corner values a rationally-equal rule's grid adds: each
+    constant ``c`` of the rule and ``-c``, sorted, minus the standard
+    corners.
 
-    Both sides evaluate as cached batched rows.  Under
-    ``REPRO_LEGACY_CVEC=1``, or when batched evaluation raises an
-    :class:`EvalError` mid-grid, the historical per-environment loop
-    runs instead; it yields lazily, so a counterexample found before
-    the failing environment ends the check exactly as it always did
-    (and a later one re-raises the error).  Rows cached before a
-    failing node stay valid for later rules.
+    Such a rule's sides can only disagree where a denominator
+    vanishes, and a denominator like ``(- ?b 4)`` or ``(+ ?b 5)``
+    vanishes at a value the standard corners never hold.  Rules whose
+    constants are only 0 and ±1 add nothing, so their grid is the
+    standard one.
     """
-    envs = evaluator.envs
-    if not legacy_cvec_requested():
-        try:
-            rows = evaluator.row_of(lhs_term), evaluator.row_of(rhs_term)
-        except EvalError:
-            pass
-        else:
-            if perf is not None:
-                perf.verify_batched_terms += 2
-            return zip(envs, *rows)
-    if perf is not None:
-        perf.verify_legacy_terms += 2
-    evaluate = grids.interpreter.evaluate
-    return (
-        (env, evaluate(lhs_term, env), evaluate(rhs_term, env))
-        for env in envs
-    )
+    values = set()
+    for side in (lhs, rhs):
+        for sub in T.subterms(side):
+            if T.is_const(sub):
+                value = Fraction(sub.payload)
+                values.update((value, -value))
+    return tuple(sorted(values.difference(CORNER_VALUES)))
 
 
 def _rule_names(lhs: Term, rhs: Term) -> tuple:
@@ -419,9 +403,7 @@ def verify_vector_rule(
         lambda: _vector_envs(names, vectors, width, n_samples, seed),
         perf,
     )
-    for env, left, right in _side_values(
-        lhs_term, rhs_term, grids, evaluator, perf
-    ):
+    for env, left, right in side_values(evaluator, lhs_term, rhs_term):
         if left is UNDEFINED and right is UNDEFINED:
             continue
         if not values_equal(left, right):
@@ -507,7 +489,7 @@ def _verify_masked_projection(
         lambda: _projection_envs(names, vectors, width, seed, actives),
         perf,
     )
-    triples = _side_values(lhs_term, rhs_term, grids, evaluator, perf)
+    triples = side_values(evaluator, lhs_term, rhs_term)
     for active, (env, left, right) in zip(actives, triples):
         if left is UNDEFINED or right is UNDEFINED:
             # Junk in an inactive lane made a side undefined; a

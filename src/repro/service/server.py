@@ -118,6 +118,26 @@ class ServiceConfig:
         )
 
 
+def _compile_each(compiler, programs: list, options) -> list:
+    """Compile ``programs`` one kernel at a time, in order.
+
+    Each slot holds the kernel's ``CompiledKernel`` or the exception
+    its compile raised, so one bad kernel neither fails nor recompiles
+    its batchmates.
+    """
+    from repro.compiler.pipeline import compile_many
+
+    outcomes: list = []
+    for program in programs:
+        try:
+            outcomes.extend(
+                compile_many(compiler, [program], options, True, 1)
+            )
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 class _Job:
     """One queued compile: request context plus its shared future."""
 
@@ -415,40 +435,27 @@ class CompileService:
 
         entry = group[0].entry
         options = group[0].options
+        programs = [j.program for j in group]
         t0 = time.perf_counter()
         jobs = self.config.workers if len(group) > 1 else 1
-        try:
-            compiled = await asyncio.to_thread(
-                compile_many,
-                entry.compiler,
-                [j.program for j in group],
-                options,
-                True,
-                jobs,
+        outcomes = None
+        if jobs > 1:
+            try:
+                outcomes = await asyncio.to_thread(
+                    compile_many, entry.compiler, programs, options, True,
+                    jobs,
+                )
+            except Exception:
+                # One bad kernel poisons the fan-out's whole batch;
+                # compile each kernel alone below so only the guilty
+                # request fails.
+                pass
+        if outcomes is None:
+            outcomes = await asyncio.to_thread(
+                _compile_each, entry.compiler, programs, options
             )
-        except Exception:
-            # One bad kernel poisons compile_many's whole batch; retry
-            # each kernel alone so only the guilty request fails.
-            compiled = None
-        if compiled is not None:
-            await self._resolve(group, compiled)
-        else:
-            for j in group:
-                try:
-                    result = await asyncio.to_thread(
-                        compile_many,
-                        entry.compiler,
-                        [j.program],
-                        options,
-                        True,
-                        1,
-                    )
-                except Exception as exc:
-                    self._inflight.pop(j.key, None)
-                    if not j.future.done():
-                        j.future.set_exception(exc)
-                else:
-                    await self._resolve([j], result)
+        for j, outcome in zip(group, outcomes):
+            await self._settle(j, outcome)
         current_tracer().record(
             "service.batch",
             time.perf_counter() - t0,
@@ -456,14 +463,20 @@ class CompileService:
             isa=entry.isa,
         )
 
-    async def _resolve(self, group, compiled) -> None:
-        for j, kernel in zip(group, compiled):
-            payload = protocol.compiled_to_wire(kernel, j.spec_hash)
-            await asyncio.to_thread(self.registry.store_result, j.key, payload)
-            self.compiled += 1
-            self._inflight.pop(j.key, None)
-            if not j.future.done():
-                j.future.set_result(payload)
+    async def _settle(self, job: "_Job", outcome) -> None:
+        """Answer ``job`` with its compiled kernel (stored in the result
+        cache first) or the exception its compile raised."""
+        if isinstance(outcome, Exception):
+            self._inflight.pop(job.key, None)
+            if not job.future.done():
+                job.future.set_exception(outcome)
+            return
+        payload = protocol.compiled_to_wire(outcome, job.spec_hash)
+        await asyncio.to_thread(self.registry.store_result, job.key, payload)
+        self.compiled += 1
+        self._inflight.pop(job.key, None)
+        if not job.future.done():
+            job.future.set_result(payload)
 
     # -- introspection ---------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.egraph.scheduling import (
 )
 from repro.lang.parser import parse, to_sexpr
 from repro.obs import current_tracer
+from repro.tools.trace_report import has_rule_unions
 
 # Match-budget ladder the search may tighten a hot productive rule to,
 # and the ban length it may stretch an overflowing rule to.
@@ -122,11 +123,13 @@ class RuleProfile:
         """Aggregate a ``REPRO_TRACE`` JSONL corpus into a profile.
 
         Reads the per-rule counters off every ``eqsat`` span; merges
-        are taken from ``rule_unions`` payloads when present and
-        reconstructed from ``eqsat.iteration`` ``applied`` maps for
-        traces recorded before that counter existed.
+        are taken from ``rule_unions`` payloads, and reconstructed from
+        ``eqsat.iteration`` ``applied`` maps (which count the same
+        merges again) only for traces recorded before that counter
+        existed.
         """
         profile = cls()
+        from_applied = not has_rule_unions(events)
         for event in events:
             attrs = event.get("attrs", {})
             for name, t in (attrs.get("rule_match_time") or {}).items():
@@ -139,7 +142,7 @@ class RuleProfile:
                 )
             for name, n in (attrs.get("rule_unions") or {}).items():
                 profile.unions[name] = profile.unions.get(name, 0) + n
-            if event.get("name") == "eqsat.iteration":
+            if from_applied and event.get("name") == "eqsat.iteration":
                 for name, n in (attrs.get("applied") or {}).items():
                     profile.unions[name] = (
                         profile.unions.get(name, 0) + n

@@ -327,6 +327,12 @@ def hottest_rules(events: list[dict], top: int = 10) -> str:
     return "\n".join(lines)
 
 
+def has_rule_unions(events: list[dict]) -> bool:
+    """True when any span carries the ``rule_unions`` merge counter
+    (every trace recorded since it existed)."""
+    return any("rule_unions" in event.get("attrs", {}) for event in events)
+
+
 def scheduling_rollup(events: list[dict]) -> str:
     """Rules ranked by match-time share, with productivity flags.
 
@@ -335,19 +341,20 @@ def scheduling_rollup(events: list[dict]) -> str:
     e-match time next to how many merges that time actually bought.
     Rules with nonzero match time and **zero** merges are flagged as
     disable candidates.  Merges come from the ``rule_unions`` counter
-    on ``eqsat`` spans; for traces recorded before that counter
-    existed they are reconstructed from the per-iteration ``applied``
-    maps.
+    on ``eqsat`` spans; only a trace recorded before that counter
+    existed has them reconstructed from the per-iteration ``applied``
+    maps, which count the same merges again.
     """
     match_time: dict[str, float] = {}
     unions: dict[str, int] = {}
+    from_applied = not has_rule_unions(events)
     for event in events:
         attrs = event.get("attrs", {})
         for name, t in (attrs.get("rule_match_time") or {}).items():
             match_time[name] = match_time.get(name, 0.0) + t
         for name, n in (attrs.get("rule_unions") or {}).items():
             unions[name] = unions.get(name, 0) + n
-        if event.get("name") == "eqsat.iteration":
+        if from_applied and event.get("name") == "eqsat.iteration":
             for name, n in (attrs.get("applied") or {}).items():
                 unions[name] = unions.get(name, 0) + n
     if not match_time:

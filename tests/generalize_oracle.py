@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.egraph.rewrite import Rewrite
-from repro.interp.env import sample_envs
+from repro.interp.env import CORNER_VALUES, sample_envs
 from repro.interp.interpreter import EvalError, Interpreter
 from repro.interp.value import UNDEFINED, values_equal
 from repro.isa.spec import IsaSpec
@@ -38,6 +38,7 @@ from repro.ruler.stats import SynthesisPerf
 from repro.ruler.verify import (
     VerifyResult,
     _wildcard_kinds,
+    definedness_corners,
     pattern_to_term,
     polynomial_of,
     rational_of,
@@ -175,7 +176,12 @@ def oracle_verify_rule(
     # The sample grid depends on the rule's own variable names, so each
     # rule gets a fresh evaluator — sharing one across rules would
     # change the fuzz inputs and could flip verdicts vs the legacy path.
-    envs = tuple(sample_envs(tuple(names), n_random=n_samples, seed=seed))
+    # A rationally-equal rule's corners hold its own constants too.
+    corners = CORNER_VALUES
+    if rationally_equal:
+        corners += definedness_corners(lhs, rhs)
+    envs = tuple(sample_envs(tuple(names), n_random=n_samples, seed=seed,
+                             corner_values=corners))
     if not legacy_cvec_requested():
         result = _fuzz_batched(
             lhs_term, rhs_term, interpreter, envs, rationally_equal, perf

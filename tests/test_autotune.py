@@ -133,6 +133,16 @@ class TestTraceProfile:
         assert profile.unions == {"b": 7}
 
 
+    def test_merges_counted_once_when_trace_has_both(self):
+        events = [
+            {"name": "eqsat",
+             "attrs": {"rule_match_time": {"b": 0.1},
+                       "rule_unions": {"b": 4}}},
+            {"name": "eqsat.iteration", "attrs": {"applied": {"b": 4}}},
+        ]
+        assert RuleProfile.from_trace_events(events).unions == {"b": 4}
+
+
 class TestCli:
     def test_writes_a_loadable_spec(self, tmp_path, capsys):
         out = tmp_path / "schedule.json"

@@ -197,13 +197,15 @@ class TestVerifyParity:
         ("(sgn (sgn ?a))", "(sgn ?a)", True),
     ]
 
-    # Rationally-equal rules (12 fuzz samples) next to fuzzed ones
-    # (64) over the same wildcard names: their grids must stay apart.
-    # The first check draws the 64-sample (?a, ?b) grid, and the
-    # second's definedness mismatch (?b = 4) first appears past the
-    # 12-sample grid, so it passes only on its own grid.
+    # Rationally-equal rules (12 fuzz samples, their constants added
+    # to the corners) next to fuzzed ones (64) over the same wildcard
+    # names: their grids must stay apart.  The first check draws the
+    # 64-sample (?a, ?b) grid, and the second's definedness mismatch
+    # (?b = 4, no constant of the rule or corner value) first appears
+    # past the 12-sample grid, so it passes only on its own grid.
     _SHARED_NAMES = [
         ("(sgn (* ?a ?b))", "(* (sgn ?a) (sgn ?b))"),
+        ("(/ (* ?a (- (* 2 ?b) 8)) (- (* 2 ?b) 8))", "?a"),
         ("(/ (* ?a (- ?b 4)) (- ?b 4))", "?a"),
         ("(/ (* ?a ?b) ?b)", "?a"),
         ("(/ ?a ?b)", "(* ?a (/ 1 ?b))"),

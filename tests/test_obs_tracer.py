@@ -188,6 +188,38 @@ class TestPipelineIntegration:
         assert len(iterations) == report.n_iterations
         assert all(e["parent"] == eqsat["id"] for e in iterations)
 
+    def test_per_rule_span_maps_hold_only_nonzero_entries(self):
+        from repro.egraph.egraph import EGraph
+        from repro.egraph.rewrite import parse_rewrite
+        from repro.egraph.runner import run_saturation
+        from repro.lang.parser import parse
+
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            egraph = EGraph()
+            egraph.add_term(parse("(+ a b)"))
+            rules = [
+                parse_rewrite("comm-add", "(+ ?a ?b) => (+ ?b ?a)"),
+                # No * in the graph: skipped unscanned, zero everywhere.
+                parse_rewrite("comm-mul", "(* ?a ?b) => (* ?b ?a)"),
+            ]
+            report = run_saturation(egraph, rules)
+        (eqsat,) = sink.by_name("eqsat")
+        attrs = eqsat["attrs"]
+        for key in ("rule_match_time", "rule_node_visits", "rule_unions"):
+            assert "comm-mul" not in attrs[key]
+            assert all(attrs[key].values())
+        assert attrs["rule_unions"] == {"comm-add": 1}
+        # The reports themselves keep every rule.
+        assert report.perf.rule_unions == {"comm-add": 1, "comm-mul": 0}
+        iterations = sink.by_name("eqsat.iteration")
+        assert [e["attrs"]["applied"] for e in iterations] == [
+            {"comm-add": 1}, {},
+        ]
+        assert report.iterations[-1].applied == {
+            "comm-add": 0, "comm-mul": 0,
+        }
+
     def test_assign_phases_and_extract_spans(self):
         from repro.egraph.egraph import EGraph
         from repro.egraph.extract import extract_best

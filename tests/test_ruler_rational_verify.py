@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.lang.parser import parse
+from repro.ruler.cvec import GridCache
 from repro.ruler.verify import (
+    definedness_corners,
     rational_of,
     rationals_equal,
     verify_rule,
@@ -83,3 +87,48 @@ class TestVerifyWithRationals:
         result = verify_rule(parse("(/ ?a 1)"), parse("?a"), spec)
         assert result.ok
         assert result.method == "exact"
+
+    @pytest.mark.parametrize("denominator", ["(- ?b 4)", "(+ ?b 5)"])
+    @pytest.mark.parametrize("n_samples", [12, 64])
+    def test_shifted_denominator_definedness_rejected(
+        self, spec, denominator, n_samples
+    ):
+        # Rationally equal to ?a, but undefined where the denominator
+        # vanishes (?b = 4, ?b = -5): a value the standard corners
+        # never hold, so the rule's own constants join its grid.
+        result = verify_rule(
+            parse(f"(/ (* ?a {denominator}) {denominator})"),
+            parse("?a"),
+            spec,
+            n_samples=n_samples,
+        )
+        assert not result.ok
+        assert result.method == "exact"
+        assert "definedness mismatch" in result.detail
+
+
+class TestDefinednessCorners:
+    def test_constants_and_negations_join_the_corners(self):
+        assert definedness_corners(
+            parse("(/ (* ?a (- ?b 4)) (- ?b 4))"), parse("?a")
+        ) == (Fraction(-4), Fraction(4))
+        assert definedness_corners(
+            parse("(/ ?a (+ ?b 5))"), parse("(/ (* ?a 2) (* 2 (+ ?b 5)))")
+        ) == (Fraction(-5), Fraction(-2), Fraction(5))
+
+    def test_zero_and_one_add_nothing(self):
+        # The shipped rules' constants: their grids stay the standard
+        # corner grid.
+        assert definedness_corners(
+            parse("(/ (+ ?a 1) (- ?b 0))"), parse("(* (+ ?a 1) (/ 1 ?b))")
+        ) == ()
+
+    def test_grid_cache_keys_on_the_extra_corners(self, spec):
+        grids = GridCache(spec.interpreter())
+        plain = grids.samples(("a", "b"), 12, 12345)
+        extra = grids.samples(("a", "b"), 12, 12345,
+                              corners=(Fraction(-4), Fraction(4)))
+        assert plain is not extra and len(grids) == 2
+        assert len(extra.envs) == 64 + 12 and len(plain.envs) == 36 + 12
+        assert any(env["b"] == 4 for env in extra.envs[:64])
+        assert grids.samples(("a", "b"), 12, 12345) is plain

@@ -337,6 +337,50 @@ class TestServeLoop:
         assert bad_exc is not None and bad_exc.kind == "compile"
         assert "bad" in bad_exc.message
 
+    def test_serial_batch_compiles_each_kernel_once(
+        self, registry, monkeypatch
+    ):
+        # [ok, bad, ok] in one batch at workers=1: each kernel compiles
+        # once and each request settles with its own result or error
+        # (no whole-batch attempt followed by per-kernel retries).
+        options = _quick_options()
+        compiler = registry.compiler_for("fusion-g3")
+        compile_kernel = compiler.compile_kernel
+        calls = []
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(kernel.name)
+            return compile_kernel(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(compiler, "compile_kernel", counting)
+
+        async def body(service, client):
+            async with AsyncCompileClient(port=service.port) as second, \
+                    AsyncCompileClient(port=service.port) as third:
+                first_ok = asyncio.create_task(
+                    client.compile(_vadd("ok-a"), options=options)
+                )
+                bad = asyncio.create_task(
+                    second.request(_compile_msg(_BAD_WIRE, options))
+                )
+                second_ok = asyncio.create_task(
+                    third.compile(_vmul("ok-b"), options=options)
+                )
+                results = await asyncio.gather(
+                    first_ok, bad, second_ok, return_exceptions=True
+                )
+            return results, service
+
+        (ok_a, bad, ok_b), service = _run_with_service(
+            registry, body, batch_window=0.5, workers=1
+        )
+        assert service.batches == 1
+        assert sorted(calls) == ["bad", "ok-a", "ok-b"]
+        assert ok_a["ok"] and ok_a["result"]["kernel"] == "ok-a"
+        assert ok_b["ok"] and ok_b["result"]["kernel"] == "ok-b"
+        assert isinstance(bad, ServiceError) and bad.kind == "compile"
+        assert service.compiled == 2
+
     def test_graceful_shutdown_drains_pending_compiles(self, registry):
         kernel = _vadd()
         options = _quick_options()

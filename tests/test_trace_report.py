@@ -160,6 +160,24 @@ class TestSchedulingRollup:
         assert "zero merges" not in out
         assert "disable candidates" not in out
 
+    def test_merges_counted_once_when_trace_has_both(self):
+        # Since eqsat spans carry rule_unions, the iteration spans'
+        # applied maps count the same merges again.
+        events = [
+            {"name": "eqsat", "id": 1, "ts": 1.0, "dur": 0.2,
+             "attrs": {"rule_match_time": {"comm": 0.1},
+                       "rule_unions": {"comm": 4}}},
+            {"name": "eqsat.iteration", "id": 2, "parent": 1, "ts": 1.0,
+             "dur": 0.1, "attrs": {"applied": {"comm": 4}}},
+            {"name": "eqsat", "id": 3, "ts": 2.0, "dur": 0.2,
+             "attrs": {"rule_match_time": {"comm": 0.1},
+                       "rule_unions": {}}},
+            {"name": "eqsat.iteration", "id": 4, "parent": 3, "ts": 2.0,
+             "dur": 0.1, "attrs": {"applied": {}}},
+        ]
+        row = scheduling_rollup(events).splitlines()[2]
+        assert row.split()[2:] == ["4", "comm"]
+
     def test_placeholder_without_counters(self):
         assert "no rule-level counters" in scheduling_rollup(
             [{"name": "lower", "id": 0, "ts": 1.0, "dur": 0.1}]
