@@ -4,23 +4,25 @@ Boots a real :class:`~repro.service.server.CompileService` (in-process
 background thread, fresh registry) and drives it with N concurrent
 clients × M kernels × R rounds — the service analogue of the paper's
 "compile the suite" workload, with repetition because real traffic
-repeats.  Three properties are measured and asserted:
+repeats.  Two properties are asserted:
 
 - **repeat hit rate** — after each kernel's first request, every
   repeat must be answered from the content-addressed result cache or
   the in-flight dedupe map (floor 0.9: at most 10% of repeats may
   slip through to the compile pool);
-- **warm p50 speedup** — the median cache-hit latency must be ≥ 5×
-  better than the median cold-compile latency (the entire point of
-  fronting ``compile_many`` with a service);
 - **byte identity** — every payload the service returns must equal
   the wire encoding of a direct ``compile_many`` run of the same
   kernel: the service layer must never change an answer.
 
-Results (p50/p99 latency per tier, hit rates, throughput) go to
-``BENCH_service.json`` at the repo root; the floors asserted here are
-the PR's acceptance bars and ``tests/test_bench_schemas.py`` holds
-the committed numbers to them.  ``docs/service.md`` derives its
+Latency is reported, not gated: p50/p99 per tier and the warm p50
+speedup (cold p50 over warm p50).  That ratio falls whenever compiles
+get faster, so a floor on it would fail a change that slows nothing;
+compile time is measured by perfbench's A/B runs instead.
+
+Results (latency per tier, hit rates, throughput) go to
+``BENCH_service.json`` at the repo root; the floor asserted here is
+the acceptance bar and ``tests/test_bench_schemas.py`` holds the
+committed numbers to it.  ``docs/service.md`` derives its
 capacity-planning notes from this file.
 """
 
@@ -46,7 +48,6 @@ from repro.service.server import ServiceConfig
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _HIT_RATE_FLOOR = 0.9
-_WARM_P50_FLOOR = 5.0
 
 _N_CLIENTS = 4
 _N_ROUNDS = 3
@@ -212,10 +213,7 @@ def test_perf_service(benchmark, tmp_path):
         _REPO_ROOT / "BENCH_service.json",
         "compile-service",
         payload,
-        floors={
-            "repeat_hit_rate": _HIT_RATE_FLOOR,
-            "warm_p50_speedup": _WARM_P50_FLOOR,
-        },
+        floors={"repeat_hit_rate": _HIT_RATE_FLOOR},
     )
     print(
         f"\nservice load: {total} requests from {_N_CLIENTS} clients in "
@@ -228,8 +226,4 @@ def test_perf_service(benchmark, tmp_path):
     )
     assert repeat_hit_rate >= _HIT_RATE_FLOOR, (
         f"repeat hit rate {repeat_hit_rate:.3f} below {_HIT_RATE_FLOOR}"
-    )
-    assert warm_p50_speedup >= _WARM_P50_FLOOR, (
-        f"warm p50 speedup {warm_p50_speedup:.1f}x below "
-        f"{_WARM_P50_FLOOR}x floor"
     )

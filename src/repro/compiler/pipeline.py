@@ -40,9 +40,14 @@ from repro.compiler.compile import (
     _extract,
 )
 from repro.egraph.egraph import EGraph
-from repro.egraph.runner import RunnerLimits, RunnerReport, run_saturation
+from repro.egraph.runner import (
+    RuleTable,
+    RunnerLimits,
+    RunnerReport,
+    run_saturation,
+)
 from repro.egraph.scheduling import ScheduleSpec, schedule_from_env
-from repro.lang.term import Term, is_wildcard
+from repro.lang.term import Term
 from repro.obs import current_tracer
 from repro.phases.cost import CostModel
 from repro.phases.ruleset import PhasedRuleSet
@@ -188,7 +193,7 @@ def _active_schedule(ctx: CompilationContext) -> ScheduleSpec | None:
 
 def _run_phase(
     egraph: EGraph,
-    rules: list,
+    rules: "list | RuleTable",
     phase: str,
     base_limits: RunnerLimits,
     schedule: ScheduleSpec | None,
@@ -291,7 +296,7 @@ class SaturatePass(Pass):
                 if run_expansion:
                     with tracer.span("phase.expansion"):
                         exp_report = _run_phase(
-                            egraph, list(ruleset.expansion), "expansion",
+                            egraph, ruleset.table("expansion"), "expansion",
                             options.expansion_limits, schedule,
                         )
                 # Frontier matching: compilation rules chain (each lift
@@ -301,7 +306,7 @@ class SaturatePass(Pass):
                 # variants.
                 with tracer.span("phase.compilation"):
                     comp_report = _run_phase(
-                        egraph, list(ruleset.compilation), "compilation",
+                        egraph, ruleset.table("compilation"), "compilation",
                         options.compilation_limits, schedule,
                         frontier=True,
                     )
@@ -372,14 +377,10 @@ class OptimizePass(Pass):
             return SKIPPED
         egraph = EGraph()
         root = egraph.add_term(ctx.current)
-        rules = [
-            rule for rule in ctx.ruleset.optimization
-            if not is_wildcard(rule.lhs)
-        ]
         with current_tracer().span("phase.optimization"):
             ctx.report.optimization = _run_phase(
                 egraph,
-                rules,
+                ctx.ruleset.table("optimization", identities=False),
                 "optimization",
                 ctx.options.optimization_limits,
                 _active_schedule(ctx),

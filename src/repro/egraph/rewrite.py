@@ -93,6 +93,7 @@ def apply_rewrite(
     match_limit: int | None = None,
     match_work: int | None = None,
     roots: set[int] | None = None,
+    compiled: bool | None = None,
 ) -> ApplyStats:
     """Match ``rule.lhs`` everywhere and union with ``rule.rhs``.
 
@@ -100,6 +101,9 @@ def apply_rewrite(
     iteration, as egg does.  ``roots`` restricts match roots
     (frontier matching).  Every match is applied, even past
     ``match_limit`` (see :func:`~repro.egraph.ematch.ematch`).
+    ``compiled`` selects the matcher as for
+    :func:`~repro.egraph.ematch.ematch`; the runner resolves it once
+    per saturation run.
     """
     stats = ApplyStats()
     counters: dict = {}
@@ -111,6 +115,7 @@ def apply_rewrite(
         limit=match_limit,
         work_budget=match_work or DEFAULT_MATCH_WORK,
         roots=roots,
+        compiled=compiled,
         counters=counters,
     )
     t1 = time.perf_counter()

@@ -11,12 +11,23 @@ a rule that produces more matches than its threshold is banned for a
 few iterations and its threshold doubles, taming associativity/
 commutativity explosions without dropping the rule entirely.
 
-A generated compiler carries rules for every ISA instruction, and a
-kernel uses few of them.  Before applying a rule the runner checks
-that the e-graph holds every op and leaf its compiled LHS scans for
+The loop reads its rules from a :class:`RuleTable`, which holds each
+rule's name, the ``needs`` of its compiled LHS and whether that LHS is
+a bare wildcard, computed once per rule set.  A generated compiler
+carries rules for every ISA instruction, and a kernel uses few of
+them, so most rule slots of an iteration cannot match.  Every
+iteration visits the whole table in rule order.  After a rule's ban
+check, the runner tests that the e-graph holds every op and leaf the
+compiled LHS scans for
 (:meth:`EGraph.holds <repro.egraph.egraph.EGraph.holds>`).  If one is
-missing the match would be empty, so the runner records zero matches
-without scanning; ``SaturationPerf.n_unmatchable`` counts these skips.
+missing the match would be empty, so the slot records the rule's zero
+``applied`` entry, counts the skip in
+``SaturationPerf.n_unmatchable`` and moves on: it reads no clock,
+asks the scheduler nothing more and writes no per-rule counter.  Only
+an application that scans reads the clock, asks for the rule's
+threshold, reports its match count to the scheduler and adds to the
+per-rule counters.  A rule the run visited but never scanned gets its
+zero per-rule counters when the run ends.
 """
 
 from __future__ import annotations
@@ -25,10 +36,14 @@ import enum
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
-from repro.egraph.rewrite import ApplyStats, Rewrite, apply_rewrite
+from repro.egraph.ematch import _legacy_requested
+from repro.egraph.rewrite import Rewrite, apply_rewrite
+from repro.lang.ops import WILD
 from repro.obs import current_tracer
 
 
@@ -165,15 +180,25 @@ class RuleScheduler:
     """The injectable rule-scheduling policy of :func:`run_saturation`.
 
     One scheduler instance serves one saturation run.  The runner asks
-    it four questions per rule per iteration:
+    it four questions:
 
     - :meth:`is_disabled` — drop the rule from this run entirely
-      (checked once, up front; a disabled rule does *not* block
-      saturation claims, unlike a banned one);
-    - :meth:`can_apply` — is the rule allowed to match this iteration;
+      (checked once, up front, for a scheduler the caller passes in;
+      a disabled rule does *not* block saturation claims, unlike a
+      banned one);
+    - :meth:`can_apply` — is the rule allowed to match this iteration
+      (asked at every rule slot, before the presence check);
     - :meth:`threshold` — its current match cap;
     - :meth:`record` — the observed match count, so the policy can
       adapt (ban, back off, ...).
+
+    :meth:`threshold` and :meth:`record` are asked only for
+    applications that scan.  A rule whose LHS cannot match the graph
+    is skipped unscanned, and its zero match count is not reported:
+    a policy must treat a missing report as zero matches, as
+    :meth:`BackoffScheduler.record` does (it acts only on a count
+    above the threshold).  Bare-wildcard rules run uncapped and are
+    never asked about either.
 
     The base class is the trivial always-run policy; subclasses only
     override what they change.  :class:`BackoffScheduler` is the
@@ -243,7 +268,11 @@ class BackoffScheduler(RuleScheduler):
         return iteration >= self._banned_until.get(rule.name, 0)
 
     def record(self, rule: Rewrite, iteration: int, n_matches: int) -> None:
-        """Report a match count; bans the rule if it overflowed."""
+        """Report a match count; bans the rule if it overflowed.
+
+        A no-op unless ``n_matches`` exceeds the threshold, so the
+        zero counts the runner does not report change nothing.
+        """
         if n_matches > self.threshold(rule):
             bans = self._ban_count.get(rule.name, 0)
             self._banned_until[rule.name] = (
@@ -261,9 +290,46 @@ class BackoffScheduler(RuleScheduler):
         )
 
 
+class RuleTable:
+    """A rule list in the form the saturation loop reads it.
+
+    ``rows`` holds one ``(rule, name, needs, wild)`` tuple per rule, in
+    rule order: ``needs`` is the compiled LHS's
+    :attr:`CompiledPattern.needs
+    <repro.egraph.compile_pattern.CompiledPattern.needs>` and ``wild``
+    marks a bare-wildcard LHS (an identity-introduction rule).  Build a
+    table once per rule set and hand it to every
+    :func:`run_saturation` over that set, as the compile pipeline does
+    through :meth:`PhasedRuleSet.table
+    <repro.phases.ruleset.PhasedRuleSet.table>`; a plain rule list
+    becomes a table on each call.  Iterating a table yields its rules.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rules: Iterable[Rewrite]):
+        self.rows = tuple(
+            (rule, rule.name, compile_pattern(rule.lhs).needs,
+             rule.lhs.op == WILD)
+            for rule in rules
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Rewrite]:
+        return (row[0] for row in self.rows)
+
+    def without(self, drop: Callable[[Rewrite], bool]) -> "RuleTable":
+        """The table minus the rules ``drop`` is true for (``self``
+        when it is true for none)."""
+        kept = [rule for rule in self if not drop(rule)]
+        return self if len(kept) == len(self.rows) else RuleTable(kept)
+
+
 def run_saturation(
     egraph: EGraph,
-    rules: list[Rewrite],
+    rules: "Iterable[Rewrite] | RuleTable",
     limits: RunnerLimits | None = None,
     scheduler: RuleScheduler | None = None,
     frontier: bool = False,
@@ -272,13 +338,14 @@ def run_saturation(
 
     Mutates ``egraph``; returns a :class:`RunnerReport`.  The graph is
     rebuilt (congruence-closed) when the function returns, whatever the
-    stop reason, so extraction can run immediately.
+    stop reason, so extraction can run immediately.  ``rules`` is a
+    :class:`RuleTable` or any rule list, applied in order.
 
     ``scheduler`` is any :class:`RuleScheduler`; the default is a
     fresh :class:`BackoffScheduler` parameterized by the limits'
-    ``match_limit``/``ban_length``.  Rules the scheduler reports as
-    disabled are dropped before the first iteration and do not block
-    saturation claims.
+    ``match_limit``/``ban_length``.  Rules a given scheduler reports
+    as disabled are dropped before the first iteration and do not
+    block saturation claims.
 
     With ``frontier=True``, iterations after the first only match
     pattern roots in classes changed by the previous iteration.  This
@@ -295,11 +362,21 @@ def run_saturation(
     ``applied``) hold only their non-zero entries: a rule missing from
     one did no such work.
     """
+    table = rules if isinstance(rules, RuleTable) else RuleTable(rules)
+    limits = limits or RunnerLimits()
+    if scheduler is None:
+        scheduler = BackoffScheduler(
+            match_limit=limits.match_limit, ban_length=limits.ban_length
+        )
+    else:
+        # Disabled rules leave the run entirely: unlike a ban, dropping
+        # them must not block the saturation claim.
+        table = table.without(scheduler.is_disabled)
     tracer = current_tracer()
     with tracer.span(
-        "eqsat", n_rules=len(rules), frontier=frontier
+        "eqsat", n_rules=len(table), frontier=frontier
     ) as sat_span:
-        report = _run_saturation(egraph, rules, limits, scheduler,
+        report = _run_saturation(egraph, table, limits, scheduler,
                                  frontier, tracer)
         if sat_span.enabled:
             perf = report.perf.as_dict()
@@ -324,25 +401,28 @@ def _nonzero(per_rule: dict) -> dict:
 
 def _run_saturation(
     egraph: EGraph,
-    rules: list[Rewrite],
-    limits: RunnerLimits | None,
-    scheduler: RuleScheduler | None,
+    table: RuleTable,
+    limits: RunnerLimits,
+    scheduler: RuleScheduler,
     frontier: bool,
     tracer,
 ) -> RunnerReport:
-    limits = limits or RunnerLimits()
-    if scheduler is None:
-        scheduler = BackoffScheduler(
-            match_limit=limits.match_limit, ban_length=limits.ban_length
-        )
-    # Disabled rules leave the run entirely: unlike a ban, dropping
-    # them must not block the saturation claim below.
-    rules = [rule for rule in rules if not scheduler.is_disabled(rule)]
-    needs = [compile_pattern(rule.lhs).needs for rule in rules]
     start = time.monotonic()
     report = RunnerReport(stop_reason=StopReason.ITERATION_LIMIT)
     perf = report.perf
     legacy_index = _legacy_index_requested()
+    compiled = not _legacy_requested()
+    can_apply = scheduler.can_apply
+    threshold = scheduler.threshold
+    record = scheduler.record
+    holds = egraph.holds
+    time_limit = limits.time_limit
+    node_guard = limits.max_nodes * 2
+    match_work = limits.match_work
+    # Every iteration's ``applied`` map, an unfinished one included:
+    # together they name the rules the run visited, in visit order.
+    visited: list[dict[str, int]] = []
+    n_unmatchable = 0
 
     t0 = time.monotonic()
     egraph.rebuild()
@@ -358,28 +438,41 @@ def _run_saturation(
             n_classes=0,
             n_unions=0,
         )
+        applied = iter_report.applied
+        visited.append(applied)
         t0 = time.monotonic()
         op_index = egraph.op_index(rescan=legacy_index)
         perf.index_time += time.monotonic() - t0
         unions_before = egraph.n_unions
         any_skipped = False
+        # Mid-iteration guard: one iteration of many rules can
+        # overshoot the per-iteration node check badly, so the run
+        # stops at the first rule slot that finds the graph above
+        # twice ``max_nodes``.  Only applications add nodes, so the
+        # count is read after each one (and once per iteration).  It
+        # is the exact live count, which shrinks on rebuild dedup, so
+        # long runs aren't killed by an upper bound that never comes
+        # back down.
+        over = egraph.n_nodes_live > node_guard
 
-        for rule, rule_needs in zip(rules, needs):
-            if time.monotonic() - start > limits.time_limit:
-                report.stop_reason = StopReason.TIME_LIMIT
-                break
-            if egraph.n_nodes_live > limits.max_nodes * 2:
-                # Mid-iteration guard: one iteration of many rules can
-                # overshoot the per-iteration node check badly.  Uses
-                # the exact live count (which shrinks on rebuild dedup),
-                # so long runs aren't killed by an upper bound that
-                # never comes back down.
+        for rule, name, needs, wild in table.rows:
+            if over:
                 report.stop_reason = StopReason.NODE_LIMIT
                 break
-            if not scheduler.can_apply(rule, iteration):
+            if not can_apply(rule, iteration):
                 any_skipped = True
                 continue
-            if rule.lhs.op == "Wild":
+            if not holds(needs):
+                # The LHS scans for an op or leaf the graph lacks, so
+                # matching would find nothing: record the empty match
+                # without scanning a single candidate.
+                applied[name] = 0
+                n_unmatchable += 1
+                continue
+            if time.monotonic() - start > time_limit:
+                report.stop_reason = StopReason.TIME_LIMIT
+                break
+            if wild:
                 # Identity-introduction rules (?a => (+ ?a 0)) match
                 # every class exactly once and the e-graph unions the
                 # new term back into the matched class, so they are
@@ -394,33 +487,27 @@ def _run_saturation(
                     rule,
                     op_index=op_index,
                     match_limit=None,
-                    match_work=limits.match_work * 10,
+                    match_work=match_work * 10,
                     roots=roots,
+                    compiled=compiled,
                 )
-                iter_report.applied[rule.name] = stats.n_unions
-                _record_perf(perf, rule.name, stats)
-                continue
-            cap = scheduler.threshold(rule)
-            if egraph.holds(rule_needs):
+            else:
+                cap = threshold(rule)
                 stats = apply_rewrite(
                     egraph,
                     rule,
                     op_index=op_index,
                     match_limit=cap + 1,
-                    match_work=limits.match_work,
+                    match_work=match_work,
                     roots=roots,
+                    compiled=compiled,
                 )
-            else:
-                # The LHS scans for an op or leaf the graph lacks, so
-                # matching would find nothing: record the empty match
-                # without scanning a single candidate.
-                stats = _NO_MATCHES
-                perf.n_unmatchable += 1
-            scheduler.record(rule, iteration, stats.n_matches)
-            if stats.n_matches > cap:
-                any_skipped = True
-            iter_report.applied[rule.name] = stats.n_unions
-            _record_perf(perf, rule.name, stats)
+                record(rule, iteration, stats.n_matches)
+                if stats.n_matches > cap:
+                    any_skipped = True
+            applied[name] = stats.n_unions
+            _record_perf(perf, name, stats)
+            over = egraph.n_nodes_live > node_guard
         else:
             t0 = time.monotonic()
             egraph.rebuild()
@@ -437,7 +524,7 @@ def _run_saturation(
                     n_nodes=iter_report.n_nodes,
                     n_classes=iter_report.n_classes,
                     n_unions=iter_report.n_unions,
-                    applied=_nonzero(iter_report.applied),
+                    applied=_nonzero(applied),
                 )
             if frontier:
                 roots = egraph.take_touched()
@@ -448,22 +535,20 @@ def _run_saturation(
             if egraph.n_nodes > limits.max_nodes:
                 report.stop_reason = StopReason.NODE_LIMIT
                 break
-            if time.monotonic() - start > limits.time_limit:
+            if time.monotonic() - start > time_limit:
                 report.stop_reason = StopReason.TIME_LIMIT
                 break
             continue
-        # Inner loop broke (time limit mid-iteration): clean up and stop.
+        # Inner loop broke (a limit mid-iteration): clean up and stop.
         t0 = time.monotonic()
         egraph.rebuild()
         perf.rebuild_time += time.monotonic() - t0
         break
 
+    perf.n_unmatchable = n_unmatchable
+    _add_visited_zeros(perf, visited)
     report.elapsed = time.monotonic() - start
     return report
-
-
-# The stats recorded for an application skipped as unmatchable.
-_NO_MATCHES = ApplyStats()
 
 
 def _record_perf(perf: SaturationPerf, rule_name: str, stats) -> None:
@@ -480,3 +565,20 @@ def _record_perf(perf: SaturationPerf, rule_name: str, stats) -> None:
     perf.rule_unions[rule_name] = (
         perf.rule_unions.get(rule_name, 0) + stats.n_unions
     )
+
+
+def _add_visited_zeros(
+    perf: SaturationPerf, visited: list[dict[str, int]]
+) -> None:
+    """Give each rule the run visited but never scanned its zero
+    per-rule counters.
+
+    Every visited rule then has an entry in each per-rule map, and the
+    maps list the rules in first-visit order.
+    """
+    names = dict.fromkeys(chain.from_iterable(visited))
+    for attr, zero in (("rule_match_time", 0.0), ("rule_node_visits", 0),
+                       ("rule_unions", 0)):
+        filled = dict.fromkeys(names, zero)
+        filled.update(getattr(perf, attr))
+        setattr(perf, attr, filled)

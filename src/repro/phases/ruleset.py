@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 from repro.egraph.rewrite import Rewrite, parse_rewrite
+from repro.egraph.runner import RuleTable
+from repro.lang.term import is_wildcard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.phases.assign import PhaseParams
@@ -37,6 +40,28 @@ class PhasedRuleSet:
     def all_rules(self) -> list[Rewrite]:
         """Every rule, ignoring phases (the §5.2 no-phasing ablation)."""
         return list(self)
+
+    def table(self, phase: str, identities: bool = True) -> RuleTable:
+        """One phase's rules as the runner's :class:`RuleTable`.
+
+        Built on first use and kept on the rule set, so every
+        saturation over a phase shares one table.  With
+        ``identities=False`` the table leaves out identity-introduction
+        rules (a bare-wildcard LHS such as ``?a => (+ ?a 0)``).
+        """
+        key = (phase, identities)
+        table = self._tables.get(key)
+        if table is None:
+            rules = getattr(self, phase)
+            if not identities:
+                rules = [rule for rule in rules if not is_wildcard(rule.lhs)]
+            table = self._tables[key] = RuleTable(rules)
+        return table
+
+    @cached_property
+    def _tables(self) -> dict:
+        """The tables :meth:`table` built, by ``(phase, identities)``."""
+        return {}
 
     def counts(self) -> dict[str, int]:
         """Rule count per phase."""

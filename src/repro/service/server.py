@@ -17,11 +17,11 @@ Request handling is three-tiered, cheapest first:
    later arrivals await the same future;
 3. **batched compile** — cache misses queue up; a batcher task
    collects waiting jobs for a short window, groups them by
-   (compiler, options), and runs each group through
+   (compiler, options), and compiles each kernel of a group through
    :func:`~repro.compiler.pipeline.compile_many` (one kernel per
-   worker process when ``workers`` > 1).  A failing kernel is isolated
-   by per-kernel retry so one bad request never poisons its
-   batchmates.
+   worker process when ``workers`` > 1).  Each kernel's outcome is
+   its result or its own error, so one bad request never poisons its
+   batchmates and no kernel compiles twice.
 
 Every request and batch is tracer-recorded (``service.request``,
 ``service.batch``) so ``trace_report`` can roll up queue wait, batch
@@ -118,24 +118,33 @@ class ServiceConfig:
         )
 
 
-def _compile_each(compiler, programs: list, options) -> list:
-    """Compile ``programs`` one kernel at a time, in order.
+def _compile_each(compiler, programs: list, options, jobs: int = 1) -> list:
+    """Compile ``programs``, one outcome per kernel, in order.
 
     Each slot holds the kernel's ``CompiledKernel`` or the exception
     its compile raised, so one bad kernel neither fails nor recompiles
-    its batchmates.
+    its batchmates.  ``jobs`` > 1 fans the kernels out across worker
+    processes (:func:`~repro.bench.parallel.parallel_starmap`), whose
+    tasks return the exception instead of raising it.
     """
+    from repro.bench.parallel import parallel_starmap
+
+    return parallel_starmap(
+        _compile_outcome,
+        [(compiler, program, options) for program in programs],
+        max_workers=jobs,
+    )
+
+
+def _compile_outcome(compiler, program, options):
+    """One kernel's ``CompiledKernel``, or the exception its compile
+    raised (module-level: fan-out tasks must pickle)."""
     from repro.compiler.pipeline import compile_many
 
-    outcomes: list = []
-    for program in programs:
-        try:
-            outcomes.extend(
-                compile_many(compiler, [program], options, True, 1)
-            )
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+    try:
+        return compile_many(compiler, [program], options, True, 1)[0]
+    except Exception as exc:
+        return exc
 
 
 class _Job:
@@ -431,29 +440,14 @@ class CompileService:
             self.batches += 1
 
     async def _compile_group(self, group: "list[_Job]") -> None:
-        from repro.compiler.pipeline import compile_many
-
         entry = group[0].entry
         options = group[0].options
         programs = [j.program for j in group]
         t0 = time.perf_counter()
         jobs = self.config.workers if len(group) > 1 else 1
-        outcomes = None
-        if jobs > 1:
-            try:
-                outcomes = await asyncio.to_thread(
-                    compile_many, entry.compiler, programs, options, True,
-                    jobs,
-                )
-            except Exception:
-                # One bad kernel poisons the fan-out's whole batch;
-                # compile each kernel alone below so only the guilty
-                # request fails.
-                pass
-        if outcomes is None:
-            outcomes = await asyncio.to_thread(
-                _compile_each, entry.compiler, programs, options
-            )
+        outcomes = await asyncio.to_thread(
+            _compile_each, entry.compiler, programs, options, jobs
+        )
         for j, outcome in zip(group, outcomes):
             await self._settle(j, outcome)
         current_tracer().record(

@@ -162,6 +162,7 @@ def oracle_apply_rewrite(
     match_limit: int | None = None,
     match_work: int | None = None,
     roots: set[int] | None = None,
+    compiled: bool | None = None,
 ) -> ApplyStats:
     """Match ``rule.lhs`` everywhere and union with ``rule.rhs``."""
     stats = ApplyStats()
@@ -174,6 +175,7 @@ def oracle_apply_rewrite(
         limit=match_limit,
         work_budget=match_work or DEFAULT_MATCH_WORK,
         roots=roots,
+        compiled=compiled,
         counters=counters,
     )
     stats.match_time = time.perf_counter() - t0

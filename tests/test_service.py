@@ -76,6 +76,50 @@ _BAD_WIRE = {
 }
 
 
+class _LoggedCompile:
+    """A compiler's ``compile_kernel`` that first appends the kernel's
+    name to a file (worker processes share no memory; an instance
+    pickles with its compiler and path)."""
+
+    def __init__(self, compiler, path):
+        self.compiler = compiler
+        self.path = str(path)
+
+    def __call__(self, kernel, *args, **kwargs):
+        with open(self.path, "a") as fh:
+            fh.write(kernel.name + "\n")
+        return type(self.compiler).compile_kernel(
+            self.compiler, kernel, *args, **kwargs
+        )
+
+
+def _ok_bad_ok_batch(registry, workers: int):
+    """Serve [ok-a, bad, ok-b] as one batch; returns the three
+    outcomes (a response or the raised error) and the service."""
+    options = _quick_options()
+
+    async def body(service, client):
+        async with AsyncCompileClient(port=service.port) as second, \
+                AsyncCompileClient(port=service.port) as third:
+            first_ok = asyncio.create_task(
+                client.compile(_vadd("ok-a"), options=options)
+            )
+            bad = asyncio.create_task(
+                second.request(_compile_msg(_BAD_WIRE, options))
+            )
+            second_ok = asyncio.create_task(
+                third.compile(_vmul("ok-b"), options=options)
+            )
+            results = await asyncio.gather(
+                first_ok, bad, second_ok, return_exceptions=True
+            )
+        return results, service
+
+    return _run_with_service(
+        registry, body, batch_window=0.5, workers=workers
+    )
+
+
 @pytest.fixture
 def registry(tmp_path):
     return ArtifactRegistry(tmp_path / "registry")
@@ -343,7 +387,6 @@ class TestServeLoop:
         # [ok, bad, ok] in one batch at workers=1: each kernel compiles
         # once and each request settles with its own result or error
         # (no whole-batch attempt followed by per-kernel retries).
-        options = _quick_options()
         compiler = registry.compiler_for("fusion-g3")
         compile_kernel = compiler.compile_kernel
         calls = []
@@ -353,29 +396,29 @@ class TestServeLoop:
             return compile_kernel(kernel, *args, **kwargs)
 
         monkeypatch.setattr(compiler, "compile_kernel", counting)
-
-        async def body(service, client):
-            async with AsyncCompileClient(port=service.port) as second, \
-                    AsyncCompileClient(port=service.port) as third:
-                first_ok = asyncio.create_task(
-                    client.compile(_vadd("ok-a"), options=options)
-                )
-                bad = asyncio.create_task(
-                    second.request(_compile_msg(_BAD_WIRE, options))
-                )
-                second_ok = asyncio.create_task(
-                    third.compile(_vmul("ok-b"), options=options)
-                )
-                results = await asyncio.gather(
-                    first_ok, bad, second_ok, return_exceptions=True
-                )
-            return results, service
-
-        (ok_a, bad, ok_b), service = _run_with_service(
-            registry, body, batch_window=0.5, workers=1
-        )
+        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(registry, workers=1)
         assert service.batches == 1
         assert sorted(calls) == ["bad", "ok-a", "ok-b"]
+        assert ok_a["ok"] and ok_a["result"]["kernel"] == "ok-a"
+        assert ok_b["ok"] and ok_b["result"]["kernel"] == "ok-b"
+        assert isinstance(bad, ServiceError) and bad.kind == "compile"
+        assert service.compiled == 2
+
+    def test_fan_out_batch_compiles_each_kernel_once(
+        self, registry, monkeypatch, tmp_path
+    ):
+        # The workers=2 twin: the kernels compile in worker processes,
+        # so the compiles are counted through a file.  The bad kernel's
+        # error is its own outcome; nothing is recompiled after it.
+        compiler = registry.compiler_for("fusion-g3")
+        log = tmp_path / "compiles.log"
+        monkeypatch.setattr(
+            compiler, "compile_kernel", _LoggedCompile(compiler, log)
+        )
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(registry, workers=2)
+        assert service.batches == 1
+        assert sorted(log.read_text().split()) == ["bad", "ok-a", "ok-b"]
         assert ok_a["ok"] and ok_a["result"]["kernel"] == "ok-a"
         assert ok_b["ok"] and ok_b["result"]["kernel"] == "ok-b"
         assert isinstance(bad, ServiceError) and bad.kind == "compile"
