@@ -200,20 +200,16 @@ def compile_term(
     ruleset: PhasedRuleSet,
     cost_model: CostModel,
     options: CompileOptions | None = None,
-    schedule=None,
 ) -> tuple[Term, CompileReport]:
     """Vectorize ``program``; returns the compiled term and a report.
 
     A thin configuration of the pass pipeline (see
     :mod:`repro.compiler.pipeline`): saturate → optimize → extract
-    over one shared context.  ``schedule`` is an optional
-    :class:`~repro.egraph.scheduling.ScheduleSpec` governing the
-    saturation phases (the ``REPRO_SCHEDULE`` env override wins over
-    it).  When tracing is enabled (see :mod:`repro.obs`) the
-    compilation emits a ``compile`` span wrapping a ``pass.<name>``
-    child per pipeline pass; the saturate pass nests one
-    ``compile.round`` span per trip around the Fig. 3 loop, each with
-    ``phase.expansion`` / ``phase.compilation`` spans around their
+    over one shared context.  When tracing is enabled (see
+    :mod:`repro.obs`) the compilation emits a ``compile`` span wrapping
+    a ``pass.<name>`` child per pipeline pass; the saturate pass nests
+    one ``compile.round`` span per trip around the Fig. 3 loop, each
+    with ``phase.expansion`` / ``phase.compilation`` spans around their
     ``EqSat`` calls.
     """
     from repro.compiler.pipeline import CompilationContext, term_pipeline
@@ -227,7 +223,6 @@ def compile_term(
             ruleset=ruleset,
             cost_model=cost_model,
             options=options,
-            schedule=schedule,
             term=program,
         )
         term_pipeline().run(ctx)

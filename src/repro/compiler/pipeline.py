@@ -40,13 +40,7 @@ from repro.compiler.compile import (
     _extract,
 )
 from repro.egraph.egraph import EGraph
-from repro.egraph.runner import (
-    RuleTable,
-    RunnerLimits,
-    RunnerReport,
-    run_saturation,
-)
-from repro.egraph.scheduling import ScheduleSpec, schedule_from_env
+from repro.egraph.runner import RunnerReport, run_saturation
 from repro.lang.term import Term
 from repro.obs import current_tracer
 from repro.phases.cost import CostModel
@@ -73,10 +67,6 @@ class CompilationContext:
     ruleset: PhasedRuleSet | None = None
     cost_model: CostModel | None = None
     options: CompileOptions = field(default_factory=CompileOptions)
-    # Tuned saturation schedule (usually from the compiler artifact);
-    # None runs the default backoff scheduler everywhere.  The
-    # REPRO_SCHEDULE env override wins over this field.
-    schedule: ScheduleSpec | None = None
     term: Term | None = None
     program: Any = None  # KernelProgram (or KernelInstance pre-frontend)
     spec: Any = None  # IsaSpec, needed by lower/schedule
@@ -179,46 +169,6 @@ class Pipeline:
         return ctx
 
 
-def _active_schedule(ctx: CompilationContext) -> ScheduleSpec | None:
-    """The schedule governing ``ctx``'s saturations, if any.
-
-    ``REPRO_SCHEDULE`` (see :func:`schedule_from_env`) beats the
-    context's artifact-carried spec, so a spec file can be A/B-tested
-    against any compilation; an explicit ``REPRO_SCHEDULE=off`` forces
-    the default scheduler even when the artifact ships a tuned one.
-    """
-    env = schedule_from_env()
-    return env if env is not None else ctx.schedule
-
-
-def _run_phase(
-    egraph: EGraph,
-    rules: "list | RuleTable",
-    phase: str,
-    base_limits: RunnerLimits,
-    schedule: ScheduleSpec | None,
-    frontier: bool = False,
-) -> RunnerReport:
-    """One bounded ``EqSat`` call under the active schedule.
-
-    With no schedule this is a plain
-    :func:`~repro.egraph.runner.run_saturation` call under the default
-    backoff scheduler; with one, the phase's limit overrides apply and
-    a fresh :class:`~repro.egraph.scheduling.TunedScheduler` enforces
-    the per-rule budgets.
-    """
-    if schedule is None:
-        return run_saturation(egraph, rules, base_limits, frontier=frontier)
-    limits = schedule.limits_for(phase, base_limits)
-    return run_saturation(
-        egraph,
-        rules,
-        limits,
-        scheduler=schedule.scheduler_for(phase, limits),
-        frontier=frontier,
-    )
-
-
 class FrontendPass(Pass):
     """Resolve the kernel front end and seed the compile report.
 
@@ -263,7 +213,6 @@ class SaturatePass(Pass):
         report = ctx.ensure_report()
         options = ctx.options
         ruleset = ctx.ruleset
-        schedule = _active_schedule(ctx)
         tracer = current_tracer()
 
         if not options.phased:
@@ -271,9 +220,8 @@ class SaturatePass(Pass):
             egraph = EGraph()
             root = egraph.add_term(ctx.term)
             with tracer.span("phase.unphased"):
-                sat_report = _run_phase(
-                    egraph, ruleset.all_rules(), "unphased",
-                    options.unphased_limits, schedule,
+                sat_report = run_saturation(
+                    egraph, ruleset.all_rules(), options.unphased_limits
                 )
             ctx.egraph, ctx.root = egraph, root
             ctx.unphased_report = sat_report
@@ -295,9 +243,9 @@ class SaturatePass(Pass):
                 exp_report = None
                 if run_expansion:
                     with tracer.span("phase.expansion"):
-                        exp_report = _run_phase(
-                            egraph, ruleset.table("expansion"), "expansion",
-                            options.expansion_limits, schedule,
+                        exp_report = run_saturation(
+                            egraph, ruleset.table("expansion"),
+                            options.expansion_limits,
                         )
                 # Frontier matching: compilation rules chain (each lift
                 # mints the Vec literal the next lift fires on), so after
@@ -305,10 +253,9 @@ class SaturatePass(Pass):
                 # structure instead of re-matching the expansion phase's
                 # variants.
                 with tracer.span("phase.compilation"):
-                    comp_report = _run_phase(
-                        egraph, ruleset.table("compilation"), "compilation",
-                        options.compilation_limits, schedule,
-                        frontier=True,
+                    comp_report = run_saturation(
+                        egraph, ruleset.table("compilation"),
+                        options.compilation_limits, frontier=True,
                     )
 
                 cost_new, extracted = _extract(
@@ -378,12 +325,10 @@ class OptimizePass(Pass):
         egraph = EGraph()
         root = egraph.add_term(ctx.current)
         with current_tracer().span("phase.optimization"):
-            ctx.report.optimization = _run_phase(
+            ctx.report.optimization = run_saturation(
                 egraph,
                 ctx.ruleset.table("optimization", identities=False),
-                "optimization",
                 ctx.options.optimization_limits,
-                _active_schedule(ctx),
             )
         ctx.egraph, ctx.root = egraph, root
         return {"n_iterations": ctx.report.optimization.n_iterations}

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 from repro.compiler.compile import CompileOptions
 from repro.egraph.rewrite import Rewrite, parse_rewrite
 from repro.egraph.runner import RunnerLimits
-from repro.egraph.scheduling import ScheduleError, ScheduleSpec
 from repro.isa.spec import Instruction, IsaSpec
 from repro.obs import current_tracer
 from repro.phases.assign import PhaseParams
@@ -54,9 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ARTIFACT_KIND = "repro-compiler-artifact"
 ARTIFACT_VERSION = 3
 
-# Versions this reader loads.  v2 artifacts predate the optional
-# ``schedule`` field and load with the default (backoff) schedule;
-# everything else about the two formats is identical.
+# Versions this reader loads.  v3 added an optional ``schedule`` field
+# (a tuned saturation schedule), since removed: the writer leaves it
+# out and the reader refuses a document that sets it, so v2 and v3
+# documents load alike.
 _SUPPORTED_VERSIONS = (2, ARTIFACT_VERSION)
 
 # Version folded into the semantics fingerprint.  Deliberately *not*
@@ -287,10 +287,6 @@ class CompilerArtifact:
     # dropped counts and the cost-model digest pruning ran under.
     # None for unpruned rulesets and every pre-existing artifact.
     pruning: dict | None = None
-    # Tuned saturation schedule (its own versioned document; see
-    # repro.egraph.scheduling).  None — including every pre-v3
-    # artifact — compiles with the default backoff scheduler.
-    schedule: ScheduleSpec | None = None
     created: float = 0.0
     version: int = ARTIFACT_VERSION
 
@@ -339,7 +335,6 @@ class CompilerArtifact:
             synthesis_config=_config_to_dict(config),
             provenance=provenance,
             pruning=pruning,
-            schedule=compiler.schedule,
             created=time.time(),
         )
 
@@ -367,9 +362,6 @@ class CompilerArtifact:
             "pruning": (
                 dict(self.pruning) if self.pruning is not None else None
             ),
-            "schedule": (
-                self.schedule.to_dict() if self.schedule else None
-            ),
             "created": self.created,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -389,15 +381,13 @@ class CompilerArtifact:
                 f"unsupported artifact version {version!r} "
                 f"(this reader handles {_SUPPORTED_VERSIONS})"
             )
-        schedule_doc = doc.get("schedule")
-        try:
-            schedule = (
-                ScheduleSpec.from_dict(schedule_doc)
-                if schedule_doc is not None
-                else None
+        if doc.get("schedule") is not None:
+            # The fingerprint never covered the schedule, so compiling
+            # without it would give other programs under the same key.
+            raise ArtifactError(
+                "artifact field 'schedule' is not supported: tuned "
+                "saturation schedules were removed; rebuild the artifact"
             )
-        except ScheduleError as exc:
-            raise ArtifactError(f"malformed artifact schedule: {exc}")
         try:
             isa = doc["isa"]
             ruleset = PhasedRuleSet.from_text(doc["ruleset"])
@@ -416,7 +406,6 @@ class CompilerArtifact:
                     if isinstance(doc.get("pruning"), dict)
                     else None
                 ),
-                schedule=schedule,
                 created=float(doc.get("created", 0.0)),
                 version=version,
             )
@@ -481,12 +470,6 @@ class CompilerArtifact:
             f"  phase params: alpha={params.alpha} beta={params.beta}",
             f"  cost params:  "
             + " ".join(f"{k}={v}" for k, v in self.cost_params.items()),
-            "  schedule:     "
-            + (
-                self.schedule.summary()
-                if self.schedule is not None
-                else "default (backoff scheduler)"
-            ),
         ]
         if self.pruning is not None:
             # One line per pruning stage (single_lane / full_width),

@@ -12,7 +12,6 @@ from repro.compiler.compile import (
     compile_term,
 )
 from repro.compiler.frontend import KernelProgram
-from repro.egraph.scheduling import ScheduleSpec
 from repro.interp.value import values_equal
 from repro.isa.spec import IsaSpec
 from repro.kernels.specs import KernelInstance
@@ -112,10 +111,6 @@ class GeneratedCompiler:
     ruleset: PhasedRuleSet
     options: CompileOptions = field(default_factory=CompileOptions)
     synthesis: SynthesisResult | None = None
-    # Tuned saturation schedule (see repro.egraph.scheduling), usually
-    # restored from the artifact; None means the default backoff
-    # scheduler everywhere.
-    schedule: "ScheduleSpec | None" = None
 
     @classmethod
     def from_artifact(
@@ -148,7 +143,6 @@ class GeneratedCompiler:
             ruleset=artifact.ruleset,
             options=options or artifact.options,
             synthesis=None,
-            schedule=artifact.schedule,
         )
 
     def to_artifact(self, config: SynthesisConfig | None = None):
@@ -171,7 +165,6 @@ class GeneratedCompiler:
             self.ruleset,
             self.cost_model,
             options or self.options,
-            schedule=self.schedule,
         )
 
     def compile_kernel(
@@ -201,7 +194,6 @@ class GeneratedCompiler:
                 ruleset=self.ruleset,
                 cost_model=self.cost_model,
                 options=options or self.options,
-                schedule=self.schedule,
                 program=program,
                 spec=self.spec,
                 validator=self.validate_equivalence if validate else None,

@@ -20,11 +20,8 @@ Modules:
   (compiled by default, legacy walk behind ``REPRO_LEGACY_EMATCH``);
 - :mod:`repro.egraph.rewrite` — rewrite rules and application;
 - :mod:`repro.egraph.runner` — the saturation loop with node/iteration/
-  time limits, pluggable rule schedulers (egg-style backoff by
-  default), and hot-path perf counters;
-- :mod:`repro.egraph.scheduling` — declarative ``ScheduleSpec``
-  schedules (per-rule budgets/bans/disables, per-phase limits) and the
-  ``TunedScheduler`` that enforces them;
+  time limits, egg's backoff rule scheduler (replaceable by any
+  ``RuleScheduler``), and hot-path perf counters;
 - :mod:`repro.egraph.snapshot` — versioned byte serialization of
   e-graphs (the differential tests copy and compare graphs through
   it);
@@ -54,14 +51,6 @@ from repro.egraph.snapshot import (
     load_egraph,
     save_egraph,
 )
-from repro.egraph.scheduling import (
-    PhasePolicy,
-    RulePolicy,
-    ScheduleError,
-    ScheduleSpec,
-    TunedScheduler,
-    schedule_from_env,
-)
 from repro.egraph.extract import Extractor, extract_best
 from repro.egraph.dot import to_dot
 
@@ -87,12 +76,6 @@ __all__ = [
     "SnapshotError",
     "load_egraph",
     "save_egraph",
-    "PhasePolicy",
-    "RulePolicy",
-    "ScheduleError",
-    "ScheduleSpec",
-    "TunedScheduler",
-    "schedule_from_env",
     "Extractor",
     "extract_best",
     "to_dot",

@@ -37,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
@@ -116,8 +116,8 @@ class SaturationPerf:
     rule_match_time: dict = field(default_factory=dict)
     rule_node_visits: dict = field(default_factory=dict)
     # Productive unions per rule: the signal separating expensive rules
-    # that *do* something from pure fail-late scanners (the autotuner's
-    # disable candidates).
+    # that *do* something from pure fail-late scanners (the trace
+    # report's zero-merge rules).
     rule_unions: dict = field(default_factory=dict)
 
     def absorb(self, other: "SaturationPerf") -> None:
@@ -180,12 +180,8 @@ class RuleScheduler:
     """The injectable rule-scheduling policy of :func:`run_saturation`.
 
     One scheduler instance serves one saturation run.  The runner asks
-    it four questions:
+    it three questions:
 
-    - :meth:`is_disabled` — drop the rule from this run entirely
-      (checked once, up front, for a scheduler the caller passes in;
-      a disabled rule does *not* block saturation claims, unlike a
-      banned one);
     - :meth:`can_apply` — is the rule allowed to match this iteration
       (asked at every rule slot, before the presence check);
     - :meth:`threshold` — its current match cap;
@@ -202,13 +198,8 @@ class RuleScheduler:
 
     The base class is the trivial always-run policy; subclasses only
     override what they change.  :class:`BackoffScheduler` is the
-    default; :class:`repro.egraph.scheduling.TunedScheduler` consumes
-    a declarative per-rule/per-phase schedule.
+    default.
     """
-
-    def is_disabled(self, rule: Rewrite) -> bool:
-        """True to remove ``rule`` from the run before it starts."""
-        return False
 
     def threshold(self, rule: Rewrite) -> int:
         """The rule's current match cap for one iteration."""
@@ -237,11 +228,6 @@ class BackoffScheduler(RuleScheduler):
     rule is banned for ``ban_length`` iterations and its threshold
     doubles.  Saturation is only declared when no rule is banned (a
     banned rule might still have work to do).
-
-    The per-rule base threshold and ban length come from the
-    ``_base_limit`` / ``_base_ban_length`` hooks so subclasses (the
-    tuned scheduler) can vary them per rule without re-implementing
-    the ban machinery.
     """
 
     def __init__(self, match_limit: int = 1000, ban_length: int = 5):
@@ -251,17 +237,9 @@ class BackoffScheduler(RuleScheduler):
         self._banned_until: dict[str, int] = {}
         self._ban_count: dict[str, int] = {}
 
-    def _base_limit(self, rule: Rewrite) -> int:
-        """The rule's pre-backoff match cap (uniform by default)."""
-        return self._initial_limit
-
-    def _base_ban_length(self, rule: Rewrite) -> int:
-        """How many iterations an overflow bans this rule for."""
-        return self._ban_length
-
     def threshold(self, rule: Rewrite) -> int:
         """The rule's current match cap (doubles on each ban)."""
-        return self._thresholds.get(rule.name, self._base_limit(rule))
+        return self._thresholds.get(rule.name, self._initial_limit)
 
     def can_apply(self, rule: Rewrite, iteration: int) -> bool:
         """False while the rule is serving a ban."""
@@ -275,11 +253,9 @@ class BackoffScheduler(RuleScheduler):
         """
         if n_matches > self.threshold(rule):
             bans = self._ban_count.get(rule.name, 0)
-            self._banned_until[rule.name] = (
-                iteration + 1 + self._base_ban_length(rule)
-            )
+            self._banned_until[rule.name] = iteration + 1 + self._ban_length
             self._ban_count[rule.name] = bans + 1
-            self._thresholds[rule.name] = self._base_limit(rule) * (
+            self._thresholds[rule.name] = self._initial_limit * (
                 2 ** (bans + 1)
             )
 
@@ -320,12 +296,6 @@ class RuleTable:
     def __iter__(self) -> Iterator[Rewrite]:
         return (row[0] for row in self.rows)
 
-    def without(self, drop: Callable[[Rewrite], bool]) -> "RuleTable":
-        """The table minus the rules ``drop`` is true for (``self``
-        when it is true for none)."""
-        kept = [rule for rule in self if not drop(rule)]
-        return self if len(kept) == len(self.rows) else RuleTable(kept)
-
 
 def run_saturation(
     egraph: EGraph,
@@ -343,9 +313,10 @@ def run_saturation(
 
     ``scheduler`` is any :class:`RuleScheduler`; the default is a
     fresh :class:`BackoffScheduler` parameterized by the limits'
-    ``match_limit``/``ban_length``.  Rules a given scheduler reports
-    as disabled are dropped before the first iteration and do not
-    block saturation claims.
+    ``match_limit``/``ban_length``.  Every rule in ``rules`` is visited
+    in every iteration: the scheduler decides at each visit whether the
+    rule may match, and a rule it holds back blocks the saturation
+    claim.
 
     With ``frontier=True``, iterations after the first only match
     pattern roots in classes changed by the previous iteration.  This
@@ -368,10 +339,6 @@ def run_saturation(
         scheduler = BackoffScheduler(
             match_limit=limits.match_limit, ban_length=limits.ban_length
         )
-    else:
-        # Disabled rules leave the run entirely: unlike a ban, dropping
-        # them must not block the saturation claim.
-        table = table.without(scheduler.is_disabled)
     tracer = current_tracer()
     with tracer.span(
         "eqsat", n_rules=len(table), frontier=frontier

@@ -175,11 +175,11 @@ def result_key(
 ) -> str:
     """The content address of one compile answer.
 
-    Everything that decides the compiled program is hashed in: the
-    artifact fingerprint (ISA semantics + synthesis config + phase
-    params + schedule come through it), the kernel's compile-surface
-    hash, and the resolved options digest — plus the protocol version,
-    so a format change can never serve a stale payload shape.
+    Hashes the protocol version (so a format change never serves a
+    stale payload shape), the artifact fingerprint (ISA semantics,
+    synthesis config and phase params; see
+    :func:`~repro.core.artifact.artifact_fingerprint`), the kernel's
+    compile-surface hash and the resolved options digest.
     """
     blob = f"v{PROTOCOL_VERSION}|{fingerprint}|{kernel_hash}|{opts_digest}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]

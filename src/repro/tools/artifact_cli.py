@@ -99,14 +99,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         framework = IsariaFramework(spec, synthesis_config=config)
         compiler = framework.generate_compiler()
         artifact = compiler.to_artifact(config=config)
-    if args.schedule is not None:
-        import dataclasses
-
-        from repro.egraph.scheduling import ScheduleSpec
-
-        artifact = dataclasses.replace(
-            artifact, schedule=ScheduleSpec.load(args.schedule)
-        )
     path = artifact.save(args.output)
     print(
         f"wrote {path} ({len(artifact.ruleset)} rules, "
@@ -239,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--term-size", type=int, default=4,
         help="synthesis enumeration depth (default: 4)",
-    )
-    build.add_argument(
-        "--schedule", type=Path, default=None,
-        help="ScheduleSpec JSON (e.g. from repro-autotune) to embed "
-        "in the artifact",
     )
     build.set_defaults(fn=_cmd_build)
 

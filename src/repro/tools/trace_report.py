@@ -31,8 +31,7 @@ tree, and prints:
 8. the **top-N hottest rules** by cumulative e-match time, aggregated
    from the ``SaturationPerf`` payloads of every ``eqsat`` span;
 9. a **scheduling rollup**: every rule's match-time share next to the
-   merges it bought, flagging zero-merge rules as disable candidates
-   for ``repro-autotune`` (see :mod:`repro.tools.autotune`).
+   merges it bought, flagging the zero-merge rules.
 """
 
 from __future__ import annotations
@@ -327,36 +326,22 @@ def hottest_rules(events: list[dict], top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def has_rule_unions(events: list[dict]) -> bool:
-    """True when any span carries the ``rule_unions`` merge counter
-    (every trace recorded since it existed)."""
-    return any("rule_unions" in event.get("attrs", {}) for event in events)
-
-
 def scheduling_rollup(events: list[dict]) -> str:
     """Rules ranked by match-time share, with productivity flags.
 
-    The trace-level view the schedule autotuner (see
-    :mod:`repro.tools.autotune`) automates: each rule's share of total
-    e-match time next to how many merges that time actually bought.
-    Rules with nonzero match time and **zero** merges are flagged as
-    disable candidates.  Merges come from the ``rule_unions`` counter
-    on ``eqsat`` spans; only a trace recorded before that counter
-    existed has them reconstructed from the per-iteration ``applied``
-    maps, which count the same merges again.
+    Each rule's share of total e-match time next to how many merges
+    that time actually bought, summed from the ``rule_unions`` counter
+    of every ``eqsat`` span.  Rules with nonzero match time and
+    **zero** merges are flagged.
     """
     match_time: dict[str, float] = {}
     unions: dict[str, int] = {}
-    from_applied = not has_rule_unions(events)
     for event in events:
         attrs = event.get("attrs", {})
         for name, t in (attrs.get("rule_match_time") or {}).items():
             match_time[name] = match_time.get(name, 0.0) + t
         for name, n in (attrs.get("rule_unions") or {}).items():
             unions[name] = unions.get(name, 0) + n
-        if from_applied and event.get("name") == "eqsat.iteration":
-            for name, n in (attrs.get("applied") or {}).items():
-                unions[name] = unions.get(name, 0) + n
     if not match_time:
         return "(no rule-level counters in this trace)"
     total = sum(match_time.values()) or 1.0
@@ -378,8 +363,7 @@ def scheduling_rollup(events: list[dict]) -> str:
     if flagged:
         lines.append(
             f"{len(flagged)} rule(s) spend match time without ever "
-            "merging — disable candidates for repro-autotune: "
-            + ", ".join(flagged)
+            "merging — zero-merge rules: " + ", ".join(flagged)
         )
     return "\n".join(lines)
 

@@ -21,10 +21,9 @@ from repro.compiler.pipeline import (
     Pass,
     Pipeline,
     SaturatePass,
-    _active_schedule,
-    _run_phase,
 )
 from repro.egraph.egraph import EGraph
+from repro.egraph.runner import run_saturation
 from repro.obs import current_tracer
 
 
@@ -40,12 +39,10 @@ class OracleOptimizePass(Pass):
         egraph = EGraph()
         root = egraph.add_term(ctx.current)
         with current_tracer().span("phase.optimization"):
-            ctx.report.optimization = _run_phase(
+            ctx.report.optimization = run_saturation(
                 egraph,
                 list(ctx.ruleset.optimization),
-                "optimization",
                 ctx.options.optimization_limits,
-                _active_schedule(ctx),
             )
         ctx.egraph, ctx.root = egraph, root
         return {"n_iterations": ctx.report.optimization.n_iterations}
@@ -58,7 +55,6 @@ def oracle_compile(compiler, program, options) -> CompilationContext:
         ruleset=compiler.ruleset,
         cost_model=compiler.cost_model,
         options=options,
-        schedule=compiler.schedule,
         program=program,
         spec=compiler.spec,
     )

@@ -56,9 +56,6 @@ def _run_saturation(
         scheduler = BackoffScheduler(
             match_limit=limits.match_limit, ban_length=limits.ban_length
         )
-    # Disabled rules leave the run entirely: unlike a ban, dropping
-    # them must not block the saturation claim below.
-    rules = [rule for rule in rules if not scheduler.is_disabled(rule)]
     needs = [compile_pattern(rule.lhs).needs for rule in rules]
     start = time.monotonic()
     report = RunnerReport(stop_reason=StopReason.ITERATION_LIMIT)

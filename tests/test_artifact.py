@@ -383,3 +383,88 @@ class TestPruningProvenance:
         )
         assert default == explicit
         assert legacy != default
+
+
+#: A ``schedule`` value as the v3 writer once emitted it (a tuned
+#: saturation schedule disabling one rule).
+_TUNED_SCHEDULE = {
+    "version": 1,
+    "note": "tuned",
+    "rules": {"dead": {"disabled": True}},
+    "phases": {},
+}
+
+
+class TestFormatVersions:
+    def test_v2_artifact_without_schedule_still_loads(
+        self, isaria_compiler
+    ):
+        artifact = isaria_compiler.to_artifact()
+        doc = json.loads(artifact.to_json())
+        assert "schedule" not in doc
+        doc["version"] = 2
+        restored = CompilerArtifact.from_json(json.dumps(doc))
+        assert restored.version == 2
+        assert restored.ruleset.to_text() == artifact.ruleset.to_text()
+
+    def test_semantics_hash_unchanged_by_format_bump(
+        self, isaria_compiler, spec
+    ):
+        # A v2-era artifact's spec_hash must still match today's probe
+        # of the same ISA, or every pre-existing artifact would be
+        # rejected by from_artifact.
+        artifact = isaria_compiler.to_artifact()
+        assert artifact.spec_hash == spec_semantics_hash(spec)
+        type(isaria_compiler).from_artifact(artifact, spec)  # no raise
+
+    def test_v3_null_schedule_loads_unchanged(self, spec):
+        # The v3 writer always wrote the key, as null for the default
+        # backoff scheduler.
+        artifact = _handmade_compiler(spec).to_artifact()
+        doc = json.loads(artifact.to_json())
+        doc["schedule"] = None
+        restored = CompilerArtifact.from_json(json.dumps(doc))
+        assert restored.ruleset.to_text() == artifact.ruleset.to_text()
+        assert restored.fingerprint == artifact.fingerprint
+        assert restored.spec_hash == artifact.spec_hash
+
+    def test_schedule_object_refused(self, spec):
+        doc = json.loads(_handmade_compiler(spec).to_artifact().to_json())
+        doc["schedule"] = _TUNED_SCHEDULE
+        with pytest.raises(ArtifactError, match="'schedule'"):
+            CompilerArtifact.from_json(json.dumps(doc))
+
+    def test_registry_rebuilds_over_a_scheduled_artifact(self, tmp_path):
+        from test_service import _quick_options, _vadd
+
+        from repro.service.registry import ArtifactRegistry
+
+        root = tmp_path / "registry"
+        first = ArtifactRegistry(root).entry_for("fusion-g3")
+        path = ArtifactRegistry(root).artifact_path(first.fingerprint)
+        doc = json.loads(path.read_text())
+        doc["schedule"] = _TUNED_SCHEDULE
+        path.write_text(json.dumps(doc))
+
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            entry = ArtifactRegistry(root).entry_for("fusion-g3")
+        corrupt = sink.by_name("registry.corrupt")
+        assert [e["attrs"]["path"] for e in corrupt] == [str(path)]
+        assert sink.by_name("registry.bootstrap")
+        assert entry.fingerprint == first.fingerprint
+        # The rebuilt entry overwrote the refused file.
+        assert CompilerArtifact.load(path).fingerprint == first.fingerprint
+
+        kernel = entry.compiler.compile_kernel(
+            _vadd(), options=_quick_options()
+        )
+        expected = first.compiler.compile_kernel(
+            _vadd(), options=_quick_options()
+        )
+        assert str(kernel.compiled_term) == str(expected.compiled_term)
+        assert kernel.machine_program.instrs == (
+            expected.machine_program.instrs
+        )
+        result = kernel.run({"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]})
+        assert result.array("out")[:4] == [11.0, 22.0, 33.0, 44.0]

@@ -25,7 +25,6 @@ _BENCH_FILES = sorted(_REPO_ROOT.glob("BENCH_*.json"))
 # ``results`` — (path-into-results, floor-key) per bench name.
 _SPEEDUP_PATHS = {
     "saturation-hot-path": lambda r, key: r[key],
-    "adaptive-schedule": lambda r, key: r[key],
     "synthesis-offline-stage": lambda r, key: r["workloads"][key][
         "speedup"
     ],
@@ -44,7 +43,6 @@ def test_bench_corpus_is_present():
     assert {
         "BENCH_saturation.json",
         "BENCH_synthesis.json",
-        "BENCH_schedule.json",
         "BENCH_service.json",
         "BENCH_isa.json",
         "BENCH_minimize.json",
@@ -87,22 +85,6 @@ def test_floors_match_measured_speedups(path: Path):
         # The committed numbers must themselves clear the floor the
         # bench asserts — otherwise the baseline documents a failure.
         assert measured >= floor, (path.name, key, measured, floor)
-
-
-def test_schedule_bench_records_parity_evidence():
-    doc = _load(_REPO_ROOT / "BENCH_schedule.json")
-    results = doc["results"]
-    assert results["default"]["cost"] == results["tuned"]["cost"]
-    assert (
-        results["tuned"]["node_visits"]
-        < results["default"]["node_visits"]
-    )
-    assert results["schedule"]["decisions"]
-    # The persisted spec must be loadable by today's reader.
-    from repro.egraph.scheduling import ScheduleSpec
-
-    spec = ScheduleSpec.from_dict(results["schedule"]["spec"])
-    assert spec.disabled_rules()
 
 
 def test_isa_bench_sweeps_widths_and_families():

@@ -54,7 +54,6 @@ def test_known_flags_present():
         "REPRO_LEGACY_INDEX",
         "REPRO_PARALLEL",
         "REPRO_RULE_CACHE",
-        "REPRO_SCHEDULE",
         "REPRO_SERVICE_PORT",
         "REPRO_SERVICE_WORKERS",
         "REPRO_SERVICE_CACHE",

@@ -37,11 +37,6 @@ from repro.egraph.runner import (
     StopReason,
     run_saturation,
 )
-from repro.egraph.scheduling import (
-    RulePolicy,
-    ScheduleSpec,
-    TunedScheduler,
-)
 from repro.egraph.snapshot import load_egraph, save_egraph
 from repro.lang.parser import parse
 
@@ -78,17 +73,6 @@ BY_NAME = {rule.name: rule for rule in RULES}
 ematch_module = importlib.import_module("repro.egraph.ematch")
 
 
-class DisablingScheduler(BackoffScheduler):
-    """Backoff scheduling that drops one rule from the run."""
-
-    def __init__(self, dropped: str, **kwargs):
-        super().__init__(**kwargs)
-        self.dropped = dropped
-
-    def is_disabled(self, rule) -> bool:
-        return rule.name == self.dropped
-
-
 class BanOneScheduler(BackoffScheduler):
     """Backoff scheduling that also bans one rule on even iterations."""
 
@@ -103,23 +87,15 @@ class BanOneScheduler(BackoffScheduler):
 
 
 def scheduler_factory(kind: str, limits: RunnerLimits, rules: list):
-    """A fresh scheduler of ``kind`` per call (each run needs its own)."""
-    first = rules[0].name if rules else "none"
-    last = rules[-1].name if rules else "none"
-    kwargs = dict(match_limit=limits.match_limit,
-                  ban_length=limits.ban_length)
+    """A fresh scheduler of ``kind`` per call (each run needs its own):
+    ``None`` for the runner's default, else one that bans the last
+    rule on even iterations."""
     if kind == "default":
         return None
-    if kind == "disable":
-        return DisablingScheduler(first, **kwargs)
-    if kind == "ban":
-        return BanOneScheduler(last, **kwargs)
-    spec = (
-        ScheduleSpec()
-        .with_rule(first, RulePolicy(disabled=True))
-        .with_rule(last, RulePolicy(match_limit=0, ban_length=1))
+    return BanOneScheduler(
+        rules[-1].name if rules else "none",
+        match_limit=limits.match_limit, ban_length=limits.ban_length,
     )
-    return TunedScheduler(spec, **kwargs)
 
 
 def copy_of(g: EGraph) -> EGraph:
@@ -181,7 +157,7 @@ class TestRandomEGraphs:
         match_limit=st.integers(0, 5),
         ban_length=st.integers(0, 2),
         match_work=st.sampled_from([6, 40, 100_000]),
-        kind=st.sampled_from(["default", "disable", "ban", "tuned"]),
+        kind=st.sampled_from(["default", "ban"]),
         frontier=st.booleans(),
     )
     @settings(max_examples=250, deadline=None)
@@ -297,12 +273,6 @@ class TestRuleTable:
         assert names == [rule.name for rule in RULES]
         wild = [name for _, name, _, is_wild in table.rows if is_wild]
         assert wild == ["pad-zero"]
-
-    def test_without(self):
-        table = RuleTable(RULES)
-        assert table.without(lambda rule: False) is table
-        kept = table.without(lambda rule: rule.name == "never")
-        assert list(kept) == RULES[:-1]
 
     def test_table_and_list_runs_agree(self):
         g = graph_of("(+ (* a 1) (neg (neg b)))")

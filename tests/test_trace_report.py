@@ -147,18 +147,7 @@ class TestSchedulingRollup:
         assert "dead" in lines[2] and "75.0%" in lines[2]
         assert "zero merges" in lines[2]
         assert "live" in lines[3] and "zero merges" not in lines[3]
-        assert "disable candidates" in out and "dead" in out
-
-    def test_reconstructs_merges_from_legacy_applied_maps(self):
-        events = [
-            {"name": "eqsat", "id": 1, "ts": 1.0, "dur": 0.2,
-             "attrs": {"rule_match_time": {"comm": 0.1}}},
-            {"name": "eqsat.iteration", "id": 2, "parent": 1, "ts": 1.0,
-             "dur": 0.1, "attrs": {"applied": {"comm": 4}}},
-        ]
-        out = scheduling_rollup(events)
-        assert "zero merges" not in out
-        assert "disable candidates" not in out
+        assert "zero-merge rules: dead" in out
 
     def test_merges_counted_once_when_trace_has_both(self):
         # Since eqsat spans carry rule_unions, the iteration spans'
