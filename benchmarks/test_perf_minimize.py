@@ -1,52 +1,58 @@
-"""Cost-pruned vs full rulesets: size, saturation time, output parity.
+"""Cost-pruned vs full rulesets: size and output parity.
 
-The dominance-pruning claim (:mod:`repro.ruler.cost_prune`) in one
-benchmark: build the same family compilers twice in one process —
-once under ``REPRO_LEGACY_COSTPRUNE=1`` (the full, unpruned rulesets)
-and once on the default cost-pruned path — then compile the same
-kernels under *fixpoint-regime* saturation budgets (deterministic
-iteration/node caps, effectively unbounded match budgets, no backoff
-banning) and check three things:
+The dominance-pruning claim (:mod:`repro.ruler.cost_prune`) as a
+deterministic record: build each family compiler twice in one process
+— once from the full, unpruned rules and once on the default
+cost-pruned path — then compile the same kernels under
+*fixpoint-regime* saturation budgets (deterministic iteration/node
+caps, effectively unbounded match budgets, no backoff banning) and
+check two things:
 
 - **size**: at least one bundled ISA's ruleset shrinks by ≥ 20 %;
-- **speed**: total saturation time over the kernel matrix improves by
-  ≥ 1.2× (the pruned set matches strictly less, the e-graphs close
-  over the same terms);
 - **parity**: every kernel compiles to a byte-identical term — or a
   strictly cheaper one — under the pruned ruleset.  Canonical
   tie-breaking in extraction plus the derivability rescue make the
   compiled program a function of the e-graph's term set, not of which
   redundant rules happened to populate it.
 
+The full side is built the way the default path is, minus the
+pruning: the width-4 fusion-g3 cell phases the shipped
+``fusion_g3_rules_full.txt``, and every other cell re-generalizes that
+file's single-lane rules at its own width without pruning them.  The
+record holds rule counts and extracted costs only; compile times
+belong to perfbench.
+
 The matrix covers the fusion-g3 and masked families at widths 4 and 8.
 Results go to ``BENCH_minimize.json`` at the repo root;
 ``tests/test_bench_schemas.py`` holds the committed numbers to the
-floors asserted here.
+floor asserted here.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from pathlib import Path
 
 from repro.bench.report import write_bench_json
 from repro.compiler.compile import CompileOptions
 from repro.compiler.frontend import trace_kernel
+from repro.core.framework import GeneratedCompiler
 from repro.core.pregen import (
     DEFAULT_RULES_FILE,
     FULL_RULES_FILE,
     family_compiler,
     load_pregenerated_rules,
+    single_lane_rules,
 )
 from repro.egraph.runner import RunnerLimits
 from repro.isa.families import isa_family
 from repro.kernels import default_suite
+from repro.phases.assign import assign_phases, default_params
+from repro.phases.cost import CostModel
+from repro.ruler.lanes import generalize_rules
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _RULESET_REDUCTION_FLOOR = 0.2
-_SATURATION_SPEEDUP_FLOOR = 1.2
 
 # (family, width) matrix.  fusion-g3 at width 4 is the paper's base
 # ISA and gets real suite kernels; the other cells get elementwise
@@ -66,8 +72,7 @@ def _fixpoint(iterations: int, nodes: int) -> RunnerLimits:
 
     Match budgets are effectively unbounded and backoff banning is off,
     so both rulesets drive their e-graphs to the same iteration/node
-    frontier and the full set's extra matching work is pure overhead —
-    the regime where the pruning speedup is a measurement, not noise.
+    frontier.
     """
     return RunnerLimits(
         max_iterations=iterations,
@@ -126,81 +131,42 @@ def _kernels_for(family: str, width: int, spec) -> list:
     ]
 
 
-def _build_compilers(legacy: bool) -> dict:
-    """One compiler per matrix cell, full or pruned.
-
-    ``family_compiler`` reads ``REPRO_LEGACY_COSTPRUNE`` when it
-    builds, so the flag is toggled around the builds and always
-    restored — the rest of the benchmark session sees the default
-    (pruned) path.
-    """
-    saved = os.environ.get("REPRO_LEGACY_COSTPRUNE")
-    try:
-        if legacy:
-            os.environ["REPRO_LEGACY_COSTPRUNE"] = "1"
-        else:
-            os.environ.pop("REPRO_LEGACY_COSTPRUNE", None)
-        options = _options()
-        built = {}
-        for family, width in _SPECS:
-            spec = isa_family(family).spec(width)
-            t0 = time.monotonic()
-            compiler = family_compiler(spec, compile_options=options)
-            built[(family, width)] = {
-                "compiler": compiler,
-                "build_s": time.monotonic() - t0,
-                "n_rules": len(compiler.ruleset),
-            }
-        return built
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_LEGACY_COSTPRUNE", None)
-        else:
-            os.environ["REPRO_LEGACY_COSTPRUNE"] = saved
+def _full_compiler(spec, options: CompileOptions) -> GeneratedCompiler:
+    """``family_compiler`` from the full rule file, without pruning."""
+    if (spec.name, spec.vector_width) == ("fusion-g3", 4):
+        rules = load_pregenerated_rules(FULL_RULES_FILE)
+    else:
+        rules, _report = generalize_rules(
+            single_lane_rules(FULL_RULES_FILE), spec
+        )
+    cost_model = CostModel(spec)
+    ruleset = assign_phases(cost_model, rules, default_params(spec))
+    return GeneratedCompiler(
+        spec=spec, cost_model=cost_model, ruleset=ruleset, options=options,
+    )
 
 
-def _compile_matrix(built: dict) -> list[dict]:
+def _compile_cell(compiler, family: str, width: int, spec) -> list[dict]:
     rows = []
-    for family, width in _SPECS:
-        cell = built[(family, width)]
-        compiler = cell["compiler"]
-        spec = isa_family(family).spec(width)
-        for key, program in _kernels_for(family, width, spec):
-            t0 = time.monotonic()
-            compiled = compiler.compile_kernel(program, validate=False)
-            compile_s = time.monotonic() - t0
-            term = compiled.compiled_term
-            rows.append({
-                "family": family,
-                "width": width,
-                "kernel": key,
-                "compile_s": compile_s,
-                "cost": compiler.cost_model.term_cost(term),
-                "term": str(term),
-            })
+    for key, program in _kernels_for(family, width, spec):
+        term = compiler.compile_kernel(program, validate=False).compiled_term
+        rows.append({
+            "kernel": key,
+            "cost": compiler.cost_model.term_cost(term),
+            "term": str(term),
+        })
     return rows
 
 
-def test_perf_minimize(benchmark):
-    def experiment():
-        full = _build_compilers(legacy=True)
-        pruned = _build_compilers(legacy=False)
-        return {
-            "full": full,
-            "pruned": pruned,
-            "full_rows": _compile_matrix(full),
-            "pruned_rows": _compile_matrix(pruned),
-        }
-
-    out = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    full, pruned = out["full"], out["pruned"]
-    full_rows, pruned_rows = out["full_rows"], out["pruned_rows"]
-
-    # -- ruleset size ------------------------------------------------
+def test_perf_minimize():
+    options = _options()
     cells = []
+    kernels = []
     for family, width in _SPECS:
-        n_full = full[(family, width)]["n_rules"]
-        n_pruned = pruned[(family, width)]["n_rules"]
+        spec = isa_family(family).spec(width)
+        full = _full_compiler(spec, options)
+        pruned = family_compiler(spec, compile_options=options)
+        n_full, n_pruned = len(full.ruleset), len(pruned.ruleset)
         assert 0 < n_pruned <= n_full, (family, width)
         cells.append({
             "family": family,
@@ -208,54 +174,36 @@ def test_perf_minimize(benchmark):
             "rules_full": n_full,
             "rules_pruned": n_pruned,
             "reduction_rate": 1.0 - n_pruned / n_full,
-            "build_full_s": full[(family, width)]["build_s"],
-            "build_pruned_s": pruned[(family, width)]["build_s"],
         })
+        full_rows = _compile_cell(full, family, width, spec)
+        pruned_rows = _compile_cell(pruned, family, width, spec)
+        for frow, prow in zip(full_rows, pruned_rows, strict=True):
+            same = frow["term"] == prow["term"]
+            key = f"{family}-w{width}/{frow['kernel']}"
+            assert prow["cost"] <= frow["cost"], (
+                f"{key}: pruned ruleset compiled a costlier program "
+                f"({prow['cost']} vs {frow['cost']})"
+            )
+            assert same or prow["cost"] < frow["cost"], (
+                f"{key}: pruned output differs without being cheaper"
+            )
+            kernels.append({
+                "family": family,
+                "width": width,
+                "kernel": frow["kernel"],
+                "full_cost": frow["cost"],
+                "pruned_cost": prow["cost"],
+                "identical": same,
+            })
     reduction = max(c["reduction_rate"] for c in cells)
+    identical = sum(row["identical"] for row in kernels)
 
-    # The shipped single-lane files document the same relationship.
+    # The shipped rule files document the same relationship.
     shipped_full = len(load_pregenerated_rules(FULL_RULES_FILE))
     shipped_pruned = len(load_pregenerated_rules(DEFAULT_RULES_FILE))
 
-    # -- parity ------------------------------------------------------
-    assert len(full_rows) == len(pruned_rows)
-    kernels = []
-    identical = 0
-    for frow, prow in zip(full_rows, pruned_rows):
-        assert (frow["family"], frow["width"], frow["kernel"]) == (
-            prow["family"], prow["width"], prow["kernel"],
-        )
-        same = frow["term"] == prow["term"]
-        identical += same
-        key = f"{frow['family']}-w{frow['width']}/{frow['kernel']}"
-        assert prow["cost"] <= frow["cost"], (
-            f"{key}: pruned ruleset compiled a costlier program "
-            f"({prow['cost']} vs {frow['cost']})"
-        )
-        assert same or prow["cost"] < frow["cost"], (
-            f"{key}: pruned output differs without being cheaper"
-        )
-        kernels.append({
-            "family": frow["family"],
-            "width": frow["width"],
-            "kernel": frow["kernel"],
-            "full_s": frow["compile_s"],
-            "pruned_s": prow["compile_s"],
-            "full_cost": frow["cost"],
-            "pruned_cost": prow["cost"],
-            "identical": same,
-        })
-
-    # -- speed -------------------------------------------------------
-    full_s = sum(r["compile_s"] for r in full_rows)
-    pruned_s = sum(r["compile_s"] for r in pruned_rows)
-    speedup = full_s / pruned_s
-
     payload = {
-        "saturation_speedup": speedup,
         "ruleset_reduction_rate": reduction,
-        "full_compile_s": full_s,
-        "pruned_compile_s": pruned_s,
         "identical_kernels": identical,
         "total_kernels": len(kernels),
         "shipped_rules_full": shipped_full,
@@ -268,10 +216,7 @@ def test_perf_minimize(benchmark):
         _REPO_ROOT / "BENCH_minimize.json",
         "rule-minimization",
         payload,
-        floors={
-            "saturation_speedup": _SATURATION_SPEEDUP_FLOOR,
-            "ruleset_reduction_rate": _RULESET_REDUCTION_FLOOR,
-        },
+        floors={"ruleset_reduction_rate": _RULESET_REDUCTION_FLOOR},
     )
     print("\nrule minimization (full vs pruned):")
     for cell in cells:
@@ -280,15 +225,8 @@ def test_perf_minimize(benchmark):
             f"{cell['rules_full']} -> {cell['rules_pruned']} rules "
             f"({cell['reduction_rate']:.1%})"
         )
-    print(
-        f"  saturation: {full_s:.2f}s -> {pruned_s:.2f}s "
-        f"({speedup:.2f}x), {identical}/{len(kernels)} byte-identical"
-    )
+    print(f"  {identical}/{len(kernels)} kernels byte-identical")
     assert reduction >= _RULESET_REDUCTION_FLOOR, (
         f"best ruleset reduction {reduction:.3f} below "
         f"{_RULESET_REDUCTION_FLOOR}"
-    )
-    assert speedup >= _SATURATION_SPEEDUP_FLOOR, (
-        f"saturation speedup {speedup:.2f}x below "
-        f"{_SATURATION_SPEEDUP_FLOOR}x"
     )

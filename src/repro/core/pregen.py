@@ -7,9 +7,13 @@ ISAs (and the rule-budget experiments) still run synthesis live.
 
 Two rule files ship: ``fusion_g3_rules.txt`` (the default — cost-
 dominated rules pruned via :mod:`repro.ruler.cost_prune`) and
-``fusion_g3_rules_full.txt`` (the historical unpruned set).
-``REPRO_LEGACY_COSTPRUNE=1`` switches every loader here to the full
-file, which is what the pruning differential tests compare against.
+``fusion_g3_rules_full.txt`` (the unpruned synthesis output).  Every
+compiler here loads the default file.  The full file stays for three
+readers: ``repro.tools.regen_rules`` derives the default file from it,
+``repro-artifact build --pregen`` records that lineage on the
+artifact, and ``BENCH_minimize`` and
+``tests/test_costprune_differential.py`` compile against it as the
+unpruned reference.
 
 Regenerate after changing the ISA spec or the synthesis pipeline with
 ``python -m repro.tools.regen_rules``.
@@ -33,26 +37,13 @@ DEFAULT_RULES_FILE = _DATA_DIR / "fusion_g3_rules.txt"
 FULL_RULES_FILE = _DATA_DIR / "fusion_g3_rules_full.txt"
 
 
-def _default_rules_file() -> Path:
-    """The shipped rules file honouring ``REPRO_LEGACY_COSTPRUNE``."""
-    from repro.ruler.cost_prune import legacy_costprune_requested
-
-    return (
-        FULL_RULES_FILE
-        if legacy_costprune_requested()
-        else DEFAULT_RULES_FILE
-    )
-
-
 def load_pregenerated_rules(path: Path | None = None) -> list[Rewrite]:
     """The shipped full-width rule set for the base ISA.
 
-    With no explicit ``path`` this loads the cost-pruned default set,
-    or the unpruned ``fusion_g3_rules_full.txt`` under
-    ``REPRO_LEGACY_COSTPRUNE=1``.
+    With no explicit ``path`` this loads the cost-pruned default set.
     """
     if path is None:
-        path = _default_rules_file()
+        path = DEFAULT_RULES_FILE
     if not path.exists():
         raise FileNotFoundError(
             f"no pregenerated rules at {path}; run "
@@ -122,19 +113,14 @@ def family_compiler(
     """
     if spec.name == "fusion-g3" and spec.vector_width == 4:
         return default_compiler(spec, phase_params, compile_options)
-    from repro.ruler.cost_prune import (
-        cost_prune_rules,
-        legacy_costprune_requested,
-    )
+    from repro.ruler.cost_prune import cost_prune_rules
     from repro.ruler.lanes import generalize_rules
 
     seed = single_lane_rules() if rules is None else rules
     generalized, _report = generalize_rules(seed, spec)
     # Re-generalization re-stamps width variants of every seed rule,
-    # recreating dominated patterns at the target width; prune them
-    # unless the legacy path was requested.
-    if not legacy_costprune_requested():
-        generalized, _prune = cost_prune_rules(generalized, spec)
+    # recreating dominated patterns at the target width; prune them.
+    generalized, _prune = cost_prune_rules(generalized, spec)
     cost_model = CostModel(spec)
     ruleset = assign_phases(
         cost_model, generalized, phase_params or default_params(spec)

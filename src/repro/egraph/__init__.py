@@ -17,14 +17,11 @@ Modules:
   Python function generated once per program shape, and a postorder
   instantiation program for the RHS;
 - :mod:`repro.egraph.ematch` — pattern matching over e-classes
-  (compiled by default, legacy walk behind ``REPRO_LEGACY_EMATCH``);
+  through the compiled LHS programs;
 - :mod:`repro.egraph.rewrite` — rewrite rules and application;
 - :mod:`repro.egraph.runner` — the saturation loop with node/iteration/
   time limits, egg's backoff rule scheduler (replaceable by any
   ``RuleScheduler``), and hot-path perf counters;
-- :mod:`repro.egraph.snapshot` — versioned byte serialization of
-  e-graphs (the differential tests copy and compare graphs through
-  it);
 - :mod:`repro.egraph.extract` — bottom-up minimum-cost extraction.
 """
 
@@ -44,12 +41,6 @@ from repro.egraph.runner import (
     StopReason,
     BackoffScheduler,
     run_saturation,
-)
-from repro.egraph.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    load_egraph,
-    save_egraph,
 )
 from repro.egraph.extract import Extractor, extract_best
 from repro.egraph.dot import to_dot
@@ -72,10 +63,6 @@ __all__ = [
     "StopReason",
     "BackoffScheduler",
     "run_saturation",
-    "SNAPSHOT_VERSION",
-    "SnapshotError",
-    "load_egraph",
-    "save_egraph",
     "Extractor",
     "extract_best",
     "to_dot",

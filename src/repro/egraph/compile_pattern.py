@@ -33,7 +33,7 @@ Instructions (tuples, opcode first):
     nodes of arity ``n``; for each hit, load the children into
     registers ``base..base+n`` and run the next ``len`` instructions
     (the compiled children) over the *entire* current binding list,
-    concatenating the results across hits.  This mirrors the legacy
+    concatenating the results across hits.  This mirrors the recursive
     matcher's binding-list pipeline exactly, including the order in
     which bindings are produced — which matters because caps keep the
     *earliest* bindings.
@@ -57,9 +57,9 @@ Instructions (tuples, opcode first):
 
 Work accounting is *uniform*: every e-node visited by any scan costs
 one unit of the shared budget, in both the generated matchers and the
-legacy matcher, so budgets mean the same thing on every path and the
-two implementations produce identical match lists (see the
-differential fuzz test).
+recursive matcher kept in ``tests/match_oracle.py``, so budgets mean
+the same thing on every path and the two implementations produce
+identical match lists (see the differential fuzz test).
 
 Generated matchers
 ------------------

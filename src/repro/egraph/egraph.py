@@ -42,15 +42,7 @@ class EClass:
 
 
 class EGraph:
-    """A congruence-closed term graph supporting equality saturation.
-
-    The full internal state — union-find, class and hashcons tables,
-    worklist, touched set, op-index, and counters — serializes to a
-    compact versioned byte form via :mod:`repro.egraph.snapshot`;
-    adding a stateful field here means extending ``egraph_to_doc`` /
-    ``egraph_from_doc`` (and bumping the snapshot schema version) or
-    restored graphs will silently diverge from live ones.
-    """
+    """A congruence-closed term graph supporting equality saturation."""
 
     def __init__(self):
         self._uf = UnionFind()
@@ -324,7 +316,7 @@ class EGraph:
 
     # -- indexes --------------------------------------------------------------
 
-    def op_index(self, rescan: bool = False) -> dict[str, list[int]]:
+    def op_index(self) -> dict[str, list[int]]:
         """Map op -> candidate class ids holding a node with that op.
 
         Maintained *incrementally*: ``add_enode`` appends, unions only
@@ -338,23 +330,10 @@ class EGraph:
         saturation iteration consumes the index do not grow the
         candidate sets mid-iteration — same semantics as the historical
         full rescan, at a fraction of the per-iteration cost.
-
-        ``rescan=True`` forces the historical O(total-nodes) rebuild
-        from the class table (kept for benchmarks and cross-checks).
         """
-        if rescan:
-            return self.op_index_rescan()
         if self._index_stale > 64 + (len(self._classes) >> 2):
             self._compact_op_index()
         return {op: lst.copy() for op, lst in self._op_index.items() if lst}
-
-    def op_index_rescan(self) -> dict[str, list[int]]:
-        """The pre-incremental index build: rescan every e-node."""
-        index: dict[str, list[int]] = {}
-        for eclass in self._classes.values():
-            for node in eclass.nodes:
-                index.setdefault(node[0], []).append(eclass.id)
-        return index
 
     def _compact_op_index(self) -> None:
         """Drop merged-away and duplicate candidate ids, in place."""

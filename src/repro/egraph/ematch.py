@@ -8,22 +8,17 @@ application hands them straight to the compiled right-hand side.
 :func:`ematch` and :func:`match_in_class` are the ``dict`` views
 (wildcard name -> class id), built only at that boundary.
 
-Two interchangeable matchers implement the same semantics:
+Each pattern is compiled once into a flat instruction program
+(:mod:`repro.egraph.compile_pattern`), and each program shape into a
+generated Python function that runs a whole rule application —
+candidate loop, scans, binding tuples, caps and work budget — in one
+call.  This is the saturation hot path.
 
-- the **compiled** matcher (default): each pattern is compiled once
-  into a flat instruction program (:mod:`repro.egraph.compile_pattern`),
-  and each program shape into a generated Python function that runs a
-  whole rule application — candidate loop, scans, binding tuples, caps
-  and work budget — in one call.  This is the saturation hot path;
-- the **legacy** matcher: the classic backtracking relational walk
-  kept as the executable specification, selectable with
-  ``REPRO_LEGACY_EMATCH=1`` (or ``compiled=False``) and used by the
-  differential fuzz tests to prove the compiled programs produce
-  identical match lists.  Its ``dict`` bindings are converted to slot
-  tuples as they leave it, and it runs inside the same candidate loop.
-
-The e-matching VM interpreter that ran the programs before they were
-generated is kept as a second oracle in ``tests/match_oracle.py``.
+``tests/match_oracle.py`` keeps the two matchers it replaced as
+differential oracles: the classic backtracking recursive walk and the
+e-matching VM interpreter that ran the programs before they were
+generated.  The fuzz tests hold the product to identical match lists
+and node visits against both.
 
 Binding lists are *capped* (``limit``): patterns with sibling
 subpatterns over large classes produce a cross product of bindings,
@@ -36,15 +31,13 @@ return more than ``limit`` matches (see :func:`ematch`).
 
 Work accounting is uniform: every e-node visited by any scan — leaf or
 compound — charges one unit of the shared ``work_budget``, so budgets
-mean the same thing on every path and across both matchers.
+mean the same thing on every path and against both oracles.
 
 ``ematch`` additionally restricts root candidates with a per-op index
 so each rule only visits classes that can possibly match.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
@@ -63,141 +56,6 @@ DEFAULT_MATCH_CAP = 20_000
 DEFAULT_MATCH_WORK = 100_000
 
 
-def _legacy_requested() -> bool:
-    return os.environ.get("REPRO_LEGACY_EMATCH", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-class _Matcher:
-    """One pattern-matching context over an e-graph (legacy walk).
-
-    Holds direct references to the union-find and class table — the
-    matcher is the saturation hot path, and attribute/method lookups
-    per node measurably dominate otherwise.
-    """
-
-    __slots__ = ("_find", "_classes", "_cap", "work")
-
-    def __init__(self, egraph: EGraph, cap: int, work: int = DEFAULT_MATCH_WORK):
-        self._find = egraph._uf.find
-        self._classes = egraph._classes
-        self._cap = cap
-        self.work = work
-
-    @property
-    def exhausted(self) -> bool:
-        return self.work <= 0
-
-    def match(
-        self, pattern: Term, class_id: int, bindings: list[Binding]
-    ) -> list[Binding]:
-        if self.work <= 0:
-            return []
-        find = self._find
-        class_id = find(class_id)
-
-        if pattern.op == WILD:
-            name = pattern.payload
-            out: list[Binding] = []
-            append = out.append
-            for binding in bindings:
-                bound = binding.get(name)
-                if bound is None:
-                    extended = dict(binding)
-                    extended[name] = class_id
-                    append(extended)
-                elif find(bound) == class_id:
-                    append(binding)
-            return out
-
-        nodes = self._classes[class_id].nodes
-        pat_args = pattern.args
-
-        if not pat_args and pattern.is_leaf:
-            # Leaf pattern: the exact leaf e-node must be present.
-            target = (pattern.op, pattern.payload, ())
-            for node in nodes:
-                if self.work <= 0:
-                    break
-                self.work -= 1
-                if node == target:
-                    return bindings
-            return []
-
-        op = pattern.op
-        payload = pattern.payload
-        n_args = len(pat_args)
-        cap = self._cap
-        out = []
-        for node in nodes:
-            if self.work <= 0:
-                break
-            self.work -= 1
-            if node[0] != op or node[1] != payload:
-                continue
-            children = node[2]
-            if len(children) != n_args:
-                continue
-            extended = bindings
-            for pat, child in zip(pat_args, children):
-                extended = self.match(pat, child, extended)
-                if not extended:
-                    break
-            if extended:
-                out.extend(extended)
-                if len(out) >= cap:
-                    del out[cap:]
-                    break
-        return out
-
-
-def _legacy_groups(
-    egraph: EGraph,
-    pattern: Term,
-    candidates,
-    roots: set[int] | None,
-    limit: int | None,
-    work: int,
-    cap: int,
-) -> tuple[list[tuple[int, list[tuple]]], int]:
-    """The generated matchers' candidate loop around the legacy walk.
-
-    Returns ``(groups, remaining work)``; the walk's ``dict`` bindings
-    become slot tuples here, so both matchers feed the same consumers.
-    """
-    matcher = _Matcher(egraph, cap, work)
-    names = compile_pattern(pattern).slot_names
-    uf = egraph._uf
-    find = uf.find
-    parent = uf._parent
-    groups: list[tuple[int, list[tuple]]] = []
-    n_matches = 0
-    seen: set[int] = set()
-    for class_id in candidates:
-        # find() without the call when the path is already short.
-        root = parent[class_id]
-        if root != parent[root]:
-            root = find(class_id)
-        if root in seen:
-            continue
-        seen.add(root)
-        if roots is not None and root not in roots:
-            continue
-        bindings = [
-            tuple([binding[name] for name in names])
-            for binding in matcher.match(pattern, root, [{}])
-        ]
-        if bindings:
-            groups.append((root, bindings))
-            n_matches += len(bindings)
-            if limit is not None and n_matches >= limit:
-                break
-        if matcher.work <= 0:
-            break
-    return groups, matcher.work
-
-
 def _match(
     egraph: EGraph,
     pattern: Term,
@@ -206,18 +64,12 @@ def _match(
     limit: int | None,
     work: int,
     cap: int,
-    compiled: bool | None,
 ) -> tuple[list[tuple[int, list[tuple]]], int]:
     """``(groups, remaining work)`` over ``candidates`` (class ids).
 
     Each candidate is canonicalized and matched once, in order, until
     ``limit`` matches are collected or the work runs out.
     """
-    if compiled is None:
-        compiled = not _legacy_requested()
-    if not compiled:
-        return _legacy_groups(egraph, pattern, candidates, roots, limit,
-                              work, cap)
     program = compile_pattern(pattern)
     uf = egraph._uf
     return program.matcher()(
@@ -231,11 +83,10 @@ def match_in_class(
     pattern: Term,
     class_id: int,
     cap: int = DEFAULT_MATCH_CAP,
-    compiled: bool | None = None,
 ) -> list[Binding]:
     """Bindings under which ``pattern`` matches class ``class_id``."""
     groups, _work = _match(egraph, pattern, (class_id,), None, None,
-                           DEFAULT_MATCH_WORK, cap, compiled)
+                           DEFAULT_MATCH_WORK, cap)
     names = compile_pattern(pattern).slot_names
     return [dict(zip(names, s)) for _root, bindings in groups
             for s in bindings]
@@ -248,7 +99,6 @@ def ematch(
     limit: int | None = None,
     work_budget: int = DEFAULT_MATCH_WORK,
     roots: set[int] | None = None,
-    compiled: bool | None = None,
     counters: dict | None = None,
 ) -> list[tuple[int, Binding]]:
     """All ``(root class id, binding)`` matches of ``pattern``.
@@ -263,10 +113,8 @@ def ematch(
     matches.  ``work_budget`` bounds the total e-nodes scanned, making
     one rule application O(budget) on any graph.  ``roots`` (canonical
     class ids) restricts the match roots — frontier matching.
-
-    ``compiled`` selects the matcher implementation (None = compiled
-    unless ``REPRO_LEGACY_EMATCH`` is set).  ``counters``, if given,
-    accumulates ``"node_visits"`` — the e-nodes actually scanned.
+    ``counters``, if given, accumulates ``"node_visits"`` — the
+    e-nodes actually scanned.
 
     This is the ``dict`` view of :func:`ematch_slots`, which rule
     application uses directly.
@@ -276,8 +124,7 @@ def ematch(
         (root, dict(zip(names, s)))
         for root, bindings in ematch_slots(
             egraph, pattern, op_index=op_index, limit=limit,
-            work_budget=work_budget, roots=roots, compiled=compiled,
-            counters=counters,
+            work_budget=work_budget, roots=roots, counters=counters,
         )
         for s in bindings
     ]
@@ -290,7 +137,6 @@ def ematch_slots(
     limit: int | None = None,
     work_budget: int = DEFAULT_MATCH_WORK,
     roots: set[int] | None = None,
-    compiled: bool | None = None,
     counters: dict | None = None,
 ) -> list[tuple[int, list[tuple]]]:
     """The matches of :func:`ematch`, grouped by root, as slot tuples.
@@ -321,7 +167,7 @@ def ematch_slots(
         # ``egraph.classes()`` yields them.
         candidates = egraph._classes
     groups, work = _match(egraph, pattern, candidates, roots, limit,
-                          work_budget, cap, compiled)
+                          work_budget, cap)
     if counters is not None:
         counters["node_visits"] = (
             counters.get("node_visits", 0) + (work_budget - work)

@@ -33,7 +33,6 @@ zero per-rule counters when the run ends.
 from __future__ import annotations
 
 import enum
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -41,18 +40,9 @@ from typing import Iterable, Iterator
 
 from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import _legacy_requested
 from repro.egraph.rewrite import Rewrite, apply_rewrite
 from repro.lang.ops import WILD
 from repro.obs import current_tracer
-
-
-def _legacy_index_requested() -> bool:
-    """``REPRO_LEGACY_INDEX=1`` forces the O(nodes) per-iteration
-    op-index rescan (the pre-incremental path, kept for benchmarks)."""
-    return os.environ.get("REPRO_LEGACY_INDEX", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 class StopReason(enum.Enum):
@@ -377,8 +367,6 @@ def _run_saturation(
     start = time.monotonic()
     report = RunnerReport(stop_reason=StopReason.ITERATION_LIMIT)
     perf = report.perf
-    legacy_index = _legacy_index_requested()
-    compiled = not _legacy_requested()
     can_apply = scheduler.can_apply
     threshold = scheduler.threshold
     record = scheduler.record
@@ -408,7 +396,7 @@ def _run_saturation(
         applied = iter_report.applied
         visited.append(applied)
         t0 = time.monotonic()
-        op_index = egraph.op_index(rescan=legacy_index)
+        op_index = egraph.op_index()
         perf.index_time += time.monotonic() - t0
         unions_before = egraph.n_unions
         any_skipped = False
@@ -456,7 +444,6 @@ def _run_saturation(
                     match_limit=None,
                     match_work=match_work * 10,
                     roots=roots,
-                    compiled=compiled,
                 )
             else:
                 cap = threshold(rule)
@@ -467,7 +454,6 @@ def _run_saturation(
                     match_limit=cap + 1,
                     match_work=match_work,
                     roots=roots,
-                    compiled=compiled,
                 )
                 record(rule, iteration, stats.n_matches)
                 if stats.n_matches > cap:

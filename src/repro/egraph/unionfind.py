@@ -42,24 +42,3 @@ class UnionFind:
     def in_same_set(self, a: int, b: int) -> bool:
         """True when ``a`` and ``b`` share a representative."""
         return self.find(a) == self.find(b)
-
-    # -- serialization (see repro.egraph.snapshot) --------------------------
-
-    def export_state(self) -> list[int]:
-        """The parent array as a plain list (snapshot form).
-
-        Path compression mutates parents on reads, so two semantically
-        equal union-finds may export different arrays; snapshots are
-        taken and restored as matched pairs, never compared raw.
-        """
-        return list(self._parent)
-
-    @classmethod
-    def from_state(cls, parents: list[int]) -> "UnionFind":
-        """Rebuild a union-find from :meth:`export_state` output."""
-        restored = cls()
-        restored._parent = [int(p) for p in parents]
-        size = len(restored._parent)
-        if any(not 0 <= p < size for p in restored._parent):
-            raise ValueError("union-find parent id out of range")
-        return restored

@@ -28,24 +28,17 @@ builds on, plus Isaria's vector-lane extension:
 8. :mod:`repro.ruler.synthesize` — the budgeted end-to-end pipeline.
 
 The hot path computes cvecs with the batched, caching
-:class:`~repro.ruler.cvec.CvecEvaluator`; ``REPRO_LEGACY_CVEC=1``
-forces the historical per-environment tree interpretation, and
-:class:`~repro.ruler.stats.SynthesisPerf` counts what each path did.
+:class:`~repro.ruler.cvec.CvecEvaluator`, and
+:class:`~repro.ruler.stats.SynthesisPerf` counts what it did.
 """
 
-from repro.ruler.cvec import (
-    CvecEvaluator,
-    CvecSpec,
-    cvec_of,
-    legacy_cvec_requested,
-)
+from repro.ruler.cvec import CvecEvaluator, CvecSpec
 from repro.ruler.enumerate import enumerate_terms, EnumerationResult
 from repro.ruler.candidates import candidate_rules, orient_pair
 from repro.ruler.cost_prune import (
     CostPruneReport,
     cost_model_digest,
     cost_prune_rules,
-    legacy_costprune_requested,
     lhs_subsumes,
     rule_delta,
 )
@@ -60,10 +53,8 @@ from repro.ruler.synthesize import (
 )
 
 __all__ = [
-    "cvec_of",
     "CvecEvaluator",
     "CvecSpec",
-    "legacy_cvec_requested",
     "enumerate_terms",
     "EnumerationResult",
     "candidate_rules",
@@ -73,7 +64,6 @@ __all__ = [
     "CostPruneReport",
     "cost_model_digest",
     "cost_prune_rules",
-    "legacy_costprune_requested",
     "lhs_subsumes",
     "rule_delta",
     "minimize_rules",

@@ -39,16 +39,16 @@ batches and the shrink then drops each generative orientation as
 equivalence-derivable from its own contraction, silently emptying the
 expansion phase.
 
-``REPRO_LEGACY_COSTPRUNE=1`` disables the stage everywhere (synthesis,
-the shipped ruleset, family re-generalization) for differential runs
-against the historical unpruned path.
+``SynthesisConfig(cost_prune=False)`` skips the stage in synthesis;
+``repro.tools.regen_rules`` uses it to write the unpruned
+``fusion_g3_rules_full.txt`` that the differential tests and
+``BENCH_minimize`` compare the pruned default against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 from repro.egraph.rewrite import Rewrite
@@ -73,13 +73,6 @@ _RESCUE_LIMITS = RunnerLimits(
     match_work=200_000,
 )
 _RESCUE_BATCH = 64
-
-
-def legacy_costprune_requested() -> bool:
-    """True when ``REPRO_LEGACY_COSTPRUNE`` asks for unpruned rulesets."""
-    return os.environ.get(
-        "REPRO_LEGACY_COSTPRUNE", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
 
 
 def rule_delta(model: CostModel, rule: Rewrite) -> float:

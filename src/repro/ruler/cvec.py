@@ -8,22 +8,18 @@ with seeded random rationals, evaluated exactly so algebraic identities
 fingerprint identically; the few irrational-producing ops (sqrt) yield
 floats, which are rounded for fingerprint stability.
 
-Two evaluation paths produce cvecs:
+:class:`CvecEvaluator` computes cvecs *structure-of-arrays*: it
+caches every pool term's raw value row (one value per environment)
+and computes a new term's row with a **single** application of its
+root lane function across all environments over the children's cached
+rows — O(envs) per candidate instead of O(nodes × envs).  Fingerprints
+are interned to small ints for fast pool lookups.
 
-- :class:`CvecEvaluator` (the default) works *structure-of-arrays*: it
-  caches every pool term's raw value row (one value per environment)
-  and computes a new term's row with a **single** application of its
-  root lane function across all environments over the children's
-  cached rows — O(envs) per candidate instead of O(nodes × envs).
-  Fingerprints are interned to small ints for fast pool lookups.
-- :func:`cvec_of` is the legacy path: one full tree interpretation per
-  environment.  ``REPRO_LEGACY_CVEC=1`` forces it everywhere (kept as
-  the perf baseline and differential-fuzz oracle, mirroring
-  ``REPRO_LEGACY_EMATCH``).
-
-Both paths perform the identical arithmetic per environment, so their
-fingerprints agree exactly — ``tests/test_cvec_differential.py`` fuzzes
-this invariant across the bundled ISAs.
+The row combination performs exactly the arithmetic of one tree
+interpretation per environment, so fingerprints agree with that
+historical path; ``tests/cvec_oracle.py`` keeps it, and
+``tests/test_cvec_differential.py`` fuzzes the invariant across the
+bundled ISAs.
 
 :func:`side_values` pairs two terms' rows environment by environment.
 Rule verification and the compiler's translation validation both check
@@ -33,7 +29,6 @@ samples respectively.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,13 +37,6 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.value import UNDEFINED
 from repro.lang.ops import CONST, GET, SYMBOL, OpKind
 from repro.lang.term import Term
-
-
-def legacy_cvec_requested() -> bool:
-    """True when ``REPRO_LEGACY_CVEC`` forces per-env tree evaluation."""
-    return os.environ.get("REPRO_LEGACY_CVEC", "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 @dataclass(frozen=True)
@@ -90,26 +78,6 @@ def _fingerprint_value(value):
     return value
 
 
-def cvec_of(
-    term: Term, interpreter: Interpreter, spec: CvecSpec
-) -> tuple | None:
-    """The term's fingerprint, or None if undefined everywhere.
-
-    All-undefined terms (e.g. ``(sqrt -1)``-like) carry no usable
-    signal and are discarded by enumeration.
-    """
-    values = []
-    any_defined = False
-    for env in spec.envs:
-        value = interpreter.evaluate(term, env)
-        if value is not UNDEFINED:
-            any_defined = True
-        values.append(_fingerprint_value(value))
-    if not any_defined:
-        return None
-    return tuple(values)
-
-
 def _lanewise(fn, args: tuple):
     """``fn`` applied lane by lane to ``args`` when they are all vectors
     of one width (a lane that yields None or UNDEFINED collapses the
@@ -136,7 +104,7 @@ class CvecEvaluator:
     environment, structure-of-arrays style.  Because rows hold the raw
     interpreter values, combining cached child rows with one root-op
     application performs exactly the arithmetic the tree interpreter
-    would — batched and legacy cvecs are equal by construction.
+    would — the cvecs equal per-environment tree walks by construction.
 
     The evaluator also interns fingerprints to dense small ints so the
     enumeration pool and candidate bookkeeping hash an int instead of
@@ -317,8 +285,11 @@ class CvecEvaluator:
     # -- fingerprints ----------------------------------------------------
 
     def fingerprint_of(self, row: tuple) -> tuple | None:
-        """The row's fingerprint tuple, or None if undefined everywhere
-        (exactly :func:`cvec_of`'s discard rule)."""
+        """The row's fingerprint tuple, or None if undefined everywhere.
+
+        All-undefined terms (e.g. ``(sqrt -1)``-like) carry no usable
+        signal and are discarded by enumeration.
+        """
         fingerprint = []
         any_defined = False
         for value in row:
@@ -356,8 +327,7 @@ class CvecEvaluator:
     def cvec_id(self, term: Term) -> int | None:
         """The term's interned cvec id (None if undefined everywhere).
 
-        Batched equivalent of ``cvec_of`` + pool lookup: the term's
-        row is computed (and cached) with one DAG walk.
+        The term's row is computed (and cached) with one DAG walk.
         """
         fingerprint = self.fingerprint_of(self.row_of(term))
         if fingerprint is None:
@@ -370,29 +340,27 @@ def side_values(evaluator: CvecEvaluator, left: Term, right: Term):
     order.
 
     Both terms evaluate as rows on the one evaluator, so their shared
-    leaves and subterms are computed once.  Under
-    ``REPRO_LEGACY_CVEC=1``, or when batched evaluation raises, the
-    per-environment loop (one tree interpretation of each term per
-    environment, left first) runs instead.  It yields lazily, so a
-    caller that stops at a mismatch in an earlier environment than the
-    failing one ends exactly as that loop always did, and one that
-    gets there sees the loop's own exception.  Rows cached before a
-    failing node stay valid for later calls.  The path taken is
+    leaves and subterms are computed once.  When batched evaluation
+    raises, the per-environment loop (one tree interpretation of each
+    term per environment, left first) runs instead.  It yields lazily,
+    so a caller that stops at a mismatch in an earlier environment
+    than the failing one ends exactly as that loop always did, and one
+    that gets there sees the loop's own exception.  Rows cached before
+    a failing node stay valid for later calls.  The path taken is
     counted on ``evaluator.perf``.
     """
     envs = evaluator.envs
     perf = evaluator.perf
-    if not legacy_cvec_requested():
-        try:
-            rows = evaluator.row_of(left), evaluator.row_of(right)
-        except Exception:
-            # Whatever the grid raised, the loop below raises it again
-            # at the environment the per-environment order reaches it,
-            # unless a mismatch comes first.
-            pass
-        else:
-            perf.verify_batched_terms += 2
-            return zip(envs, *rows)
+    try:
+        rows = evaluator.row_of(left), evaluator.row_of(right)
+    except Exception:
+        # Whatever the grid raised, the loop below raises it again at
+        # the environment the per-environment order reaches it, unless
+        # a mismatch comes first.
+        pass
+    else:
+        perf.verify_batched_terms += 2
+        return zip(envs, *rows)
     perf.verify_legacy_terms += 2
     evaluate = evaluator._interp.evaluate
     return (

@@ -18,8 +18,9 @@ across all environments — O(envs) instead of O(nodes × envs) tree
 walks.  The largest term size — where candidate counts explode — can
 additionally be sharded across ``repro.bench.parallel`` workers,
 partitioned by root operator and merged deterministically.
-``REPRO_LEGACY_CVEC=1`` forces the historical per-environment
-interpreter path (the perf baseline and differential-fuzz oracle).
+``tests/cvec_oracle.py`` keeps the per-environment interpreter path
+this replaced, and the differential tests hold both to the same pools
+and pairs.
 
 The ``deadline`` budget is checked per candidate, so enumeration
 aborts *mid-size* (not just between sizes) and ``aborted=True``
@@ -37,12 +38,7 @@ from repro.isa.spec import IsaSpec
 from repro.lang import builders as B
 from repro.lang import term as T
 from repro.lang.term import Term
-from repro.ruler.cvec import (
-    CvecEvaluator,
-    CvecSpec,
-    cvec_of,
-    legacy_cvec_requested,
-)
+from repro.ruler.cvec import CvecEvaluator, CvecSpec
 from repro.ruler.stats import SynthesisPerf
 
 # Sharding the final size across processes only pays once the
@@ -111,32 +107,6 @@ def enumerate_terms(
         allowed = set(op_allowlist)
         ops = [instr for instr in ops if instr.name in allowed]
 
-    if legacy_cvec_requested():
-        perf.backend = "legacy"
-        return _enumerate_legacy(
-            cvec_spec, max_size, constants, deadline, interpreter, ops, perf
-        )
-    perf.backend = "batched"
-    return _enumerate_batched(
-        cvec_spec, max_size, constants, deadline, interpreter, ops, perf,
-        jobs,
-    )
-
-
-# -- batched (default) path ----------------------------------------------
-
-
-def _enumerate_batched(
-    cvec_spec: CvecSpec,
-    max_size: int,
-    constants: tuple,
-    deadline: float | None,
-    interpreter: Interpreter,
-    ops: list,
-    perf: SynthesisPerf,
-    jobs: int | None,
-) -> EnumerationResult:
-    """Structure-of-arrays enumeration (see module docstring)."""
     evaluator = CvecEvaluator(interpreter, cvec_spec.envs, perf=perf)
     result = EnumerationResult(perf=perf)
     pool: dict[int, Term] = {}  # interned cvec id -> representative
@@ -433,85 +403,6 @@ def _enumerate_size_sharded(
                 if rep != term:
                     result.pairs.append((rep, term))
     return aborted
-
-
-# -- legacy (REPRO_LEGACY_CVEC=1) path ------------------------------------
-
-
-def _enumerate_legacy(
-    cvec_spec: CvecSpec,
-    max_size: int,
-    constants: tuple,
-    deadline: float | None,
-    interpreter: Interpreter,
-    ops: list,
-    perf: SynthesisPerf,
-) -> EnumerationResult:
-    """The historical path: one full tree interpretation per
-    environment per candidate.  Kept as the perf baseline and the
-    differential-fuzz oracle for the batched evaluator."""
-    result = EnumerationResult(perf=perf)
-
-    t0 = time.monotonic()
-    by_size: dict[int, list[Term]] = {1: []}
-    for atom in _atoms(cvec_spec.variables, constants):
-        if deadline is not None and time.monotonic() > deadline:
-            result.aborted = True
-            break
-        cvec = cvec_of(atom, interpreter, cvec_spec)
-        perf.legacy_evals += 1
-        if cvec is None or cvec in result.representatives:
-            continue
-        result.representatives[cvec] = atom
-        by_size[1].append(atom)
-        result.n_enumerated += 1
-    _record_size(
-        perf, 1, time.monotonic() - t0, result.n_enumerated, len(by_size[1])
-    )
-
-    for size in range(2, max_size + 1):
-        if result.aborted:
-            break
-        t0 = time.monotonic()
-        n_start = result.n_enumerated
-        new_terms: list[Term] = []
-        by_size[size] = new_terms
-        for instr in ops:
-            arity = instr.arity
-            budget = size - 1
-            if budget < arity:
-                continue
-            for sizes in _compositions(budget, arity):
-                pools = [by_size.get(s, ()) for s in sizes]
-                if any(not pool for pool in pools):
-                    continue
-                for children in itertools.product(*pools):
-                    if deadline is not None and (
-                        time.monotonic() > deadline
-                    ):
-                        result.aborted = True
-                        break
-                    term = T.make(instr.name, *children)
-                    result.n_enumerated += 1
-                    cvec = cvec_of(term, interpreter, cvec_spec)
-                    perf.legacy_evals += 1
-                    if cvec is None:
-                        continue
-                    rep = result.representatives.get(cvec)
-                    if rep is None:
-                        result.representatives[cvec] = term
-                        new_terms.append(term)
-                    elif rep != term:
-                        result.pairs.append((rep, term))
-                if result.aborted:
-                    break
-            if result.aborted:
-                break
-        _record_size(
-            perf, size, time.monotonic() - t0,
-            result.n_enumerated - n_start, len(new_terms),
-        )
-    return result
 
 
 def _compositions(total: int, parts: int):

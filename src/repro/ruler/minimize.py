@@ -29,7 +29,7 @@ from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import RunnerLimits, run_saturation
 from repro.interp.interpreter import EvalError, Interpreter
 from repro.lang.pattern import wildcards_of
-from repro.ruler.cvec import GridCache, legacy_cvec_requested
+from repro.ruler.cvec import GridCache
 from repro.ruler.stats import SynthesisPerf
 from repro.ruler.verify import pattern_to_term
 
@@ -142,16 +142,11 @@ def minimize_rules(
     not-yet-examined tail (the paper's Fig. 7 behaviour: a short
     offline budget yields a smaller rule set).  With an
     ``interpreter``, unsound candidates are screened out first via the
-    batched cvec evaluator (skipped under ``REPRO_LEGACY_CVEC=1``,
-    keeping the legacy baseline the historical path).
+    batched cvec evaluator.
     """
     kept: list[Rewrite] = []
     remaining = list(candidates)
-    if (
-        interpreter is not None
-        and remaining
-        and not legacy_cvec_requested()
-    ):
+    if interpreter is not None and remaining:
         remaining = _cvec_screen(remaining, interpreter, perf)
     aborted = False
     while remaining:

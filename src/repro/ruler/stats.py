@@ -4,9 +4,8 @@ Used by the inspection tooling (the synthesis-tour example, Fig. 8's
 bench) to answer "what did synthesis actually learn?": operator
 coverage, rule-shape histograms, and per-operator rule counts.  Also
 home of :class:`SynthesisPerf`, the offline-stage counter block that
-``synthesize_rules`` folds into its result, tracer spans, and the
-``BENCH_synthesis.json`` perf artifact — the synthesis-side sibling of
-the saturation engine's ``SaturationPerf``.
+``synthesize_rules`` folds into its result and tracer spans — the
+synthesis-side sibling of the saturation engine's ``SaturationPerf``.
 """
 
 from __future__ import annotations
@@ -26,16 +25,11 @@ class SynthesisPerf:
     Filled in by :mod:`repro.ruler.enumerate` (batched cvec
     evaluation), :mod:`repro.ruler.verify` (batched fuzzing) and
     :mod:`repro.ruler.minimize` (cvec screening); merged across
-    enumeration shards.  ``backend`` records which cvec path ran:
-    ``"batched"`` (the default structure-of-arrays evaluator) or
-    ``"legacy"`` (``REPRO_LEGACY_CVEC=1``, one tree walk per
-    environment).
+    enumeration shards.
     """
 
-    backend: str = "batched"
     # Batched-evaluator counters (see repro.ruler.cvec.CvecEvaluator).
     batched_evals: int = 0        # rows computed by one root-op application
-    legacy_evals: int = 0         # full per-env tree interpretations
     cvec_cache_hits: int = 0      # child rows served from the cvec cache
     cvec_cache_misses: int = 0    # rows that had to be computed
     fingerprint_collisions: int = 0  # interned fingerprint seen before
@@ -43,7 +37,9 @@ class SynthesisPerf:
     # Pipeline-stage counters.
     enumeration_shards: int = 0   # parallel shards of the largest size
     verify_batched_terms: int = 0  # rule sides evaluated batched
-    verify_legacy_terms: int = 0   # rule sides evaluated per-env
+    # Rule sides whose batched rows raised, so they fell back to one
+    # tree walk per environment (see repro.ruler.cvec.side_values).
+    verify_legacy_terms: int = 0
     minimize_screened: int = 0     # rules dropped by the cvec screen
     screen_env_cache_hits: int = 0   # cvec screens reusing a cached evaluator
     screen_env_cache_misses: int = 0  # wildcard signatures needing fresh envs
@@ -61,7 +57,6 @@ class SynthesisPerf:
         and per-chunk counters from parallel verification.
         """
         self.batched_evals += other.batched_evals
-        self.legacy_evals += other.legacy_evals
         self.cvec_cache_hits += other.cvec_cache_hits
         self.cvec_cache_misses += other.cvec_cache_misses
         self.fingerprint_collisions += other.fingerprint_collisions
@@ -86,9 +81,7 @@ class SynthesisPerf:
     def as_dict(self) -> dict:
         """A JSON-ready dict (per-size keys stringified for JSON)."""
         return {
-            "backend": self.backend,
             "batched_evals": self.batched_evals,
-            "legacy_evals": self.legacy_evals,
             "cvec_cache_hits": self.cvec_cache_hits,
             "cvec_cache_misses": self.cvec_cache_misses,
             "fingerprint_collisions": self.fingerprint_collisions,

@@ -17,10 +17,7 @@ from repro.egraph.rewrite import Rewrite
 from repro.isa.spec import IsaSpec
 from repro.obs import current_tracer
 from repro.ruler.candidates import candidate_rules
-from repro.ruler.cost_prune import (
-    cost_prune_rules,
-    legacy_costprune_requested,
-)
+from repro.ruler.cost_prune import cost_prune_rules
 from repro.ruler.cvec import CvecSpec, GridCache
 from repro.ruler.enumerate import enumerate_terms
 from repro.ruler.lanes import GeneralizationReport, generalize_rules
@@ -90,7 +87,6 @@ class SynthesisConfig:
     # Cost-aware dominated-rule pruning (repro.ruler.cost_prune): drop
     # verified candidates an equal-or-more-general kept rule already
     # beats on cost delta, before and after lane generalization.
-    # ``REPRO_LEGACY_COSTPRUNE=1`` overrides this to the unpruned path.
     cost_prune: bool = True
     # Restrict enumeration to these operators (None = all).  Used for
     # focused incremental synthesis around custom instructions, where
@@ -132,8 +128,8 @@ class SynthesisResult:
     n_unsound: int = 0
     generalization: GeneralizationReport | None = None
     # Dominance-pruning provenance: {"single_lane": {...},
-    # "full_width": {...}} CostPruneReport dicts, or None when the
-    # stage was disabled (config or REPRO_LEGACY_COSTPRUNE=1).
+    # "full_width": {...}} CostPruneReport dicts, or None when
+    # ``SynthesisConfig.cost_prune`` disabled the stage.
     pruning: dict | None = None
     elapsed: float = 0.0
     aborted: bool = False
@@ -166,7 +162,6 @@ def synthesize_rules(
                 n_unsound=result.n_unsound,
                 n_rules=len(result.rules),
                 aborted=result.aborted,
-                cvec_backend=result.perf.backend,
             )
     return result
 
@@ -206,7 +201,6 @@ def _synthesize_rules(
             n_representatives=enumeration.n_representatives,
             n_pairs=len(enumeration.pairs),
             aborted=enumeration.aborted,
-            cvec_backend=perf.backend,
             shards=perf.enumeration_shards,
             size_times={
                 str(k): v for k, v in sorted(perf.per_size_times.items())
@@ -301,9 +295,8 @@ def _synthesize_rules(
     # stay adjacent — minimize's greedy batches only spare rules that
     # share a batch, and splitting a pair lets the equivalence-based
     # derivability check drop the generative orientation.
-    pruning_enabled = config.cost_prune and not legacy_costprune_requested()
     pruning: dict | None = None
-    if pruning_enabled:
+    if config.cost_prune:
         t0 = time.monotonic()
         pruned, prune_report = cost_prune_rules(verified, spec, perf=perf)
         pruning = {"single_lane": prune_report.as_dict()}
@@ -343,7 +336,7 @@ def _synthesize_rules(
     # again after it.
     t0 = time.monotonic()
     full_width, gen_report = generalize_rules(kept, spec, perf=perf)
-    if pruning_enabled:
+    if config.cost_prune:
         full_width, full_report = cost_prune_rules(
             full_width, spec, perf=perf
         )

@@ -27,9 +27,9 @@ checks shares one grid and one row cache per signature
 (:class:`~repro.ruler.cvec.GridCache`, :func:`verify_rules`).  Both
 sides pair up through :func:`~repro.ruler.cvec.side_values`: a side
 the batched path cannot evaluate (an error mid-grid) falls back to the
-historical per-environment loop, which also runs outright under
-``REPRO_LEGACY_CVEC=1`` — either way the verdict, method and
-counterexample are identical.
+historical per-environment loop, with the same verdict, method and
+counterexample.  ``tests/generalize_oracle.py`` keeps the one-check,
+one-grid verifiers this replaced.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ def verify_vector_rule(
     introduced by generalization is caught here.  Like
     :func:`verify_rule`, both sides evaluate as cached batched rows on
     the pass's shared grid, with the per-environment loop as the
-    legacy path and error fallback.
+    error fallback.
     """
     if grids is None:
         grids = GridCache(spec.interpreter())

@@ -60,10 +60,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             default_compiler,
             load_pregenerated_rules,
         )
-        from repro.ruler.cost_prune import (
-            cost_model_digest,
-            legacy_costprune_requested,
-        )
+        from repro.ruler.cost_prune import cost_model_digest
 
         compiler = default_compiler(spec=spec)
         artifact = CompilerArtifact.from_compiler(
@@ -71,7 +68,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             config=config,
             provenance={"source": "pregenerated"},
         )
-        if not legacy_costprune_requested() and FULL_RULES_FILE.exists():
+        if FULL_RULES_FILE.exists():
             # The shipped default file is the cost-pruned derivation of
             # the full set; record that lineage on the artifact.  The
             # rescue count is only in the pruned file's header comment

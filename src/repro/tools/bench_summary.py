@@ -5,7 +5,7 @@ committed versions (``git show HEAD:<file>``) are the previous
 numbers.  This tool prints a compact per-bench line so the job log
 answers "did this PR move the needle" without downloading artifacts::
 
-    BENCH_saturation.json  speedup 3.41x (was 3.18x, +7%)  floor 2.0x ok
+    BENCH_minimize.json       ruleset_reduction_rate 0.36 (was 0.33, +9%)  [floors: ruleset_reduction_rate≥0.2]
 
 Usage::
 

@@ -1,11 +1,11 @@
 """Regenerate the pregenerated rule sets shipped under repro/data.
 
 Writes both shipped files: ``fusion_g3_rules_full.txt`` (the unpruned
-synthesis output, the ``REPRO_LEGACY_COSTPRUNE=1`` baseline) and
-``fusion_g3_rules.txt`` (the default — the same set with cost-dominated
-rules pruned via :mod:`repro.ruler.cost_prune`).  Deriving the pruned
-file from the full one keeps the two sets differential-testable: the
-pruned set is exactly the full set minus dominated rules.
+synthesis output) and ``fusion_g3_rules.txt`` (the default — the same
+set with cost-dominated rules pruned via :mod:`repro.ruler.cost_prune`).
+Deriving the pruned file from the full one keeps the two sets
+differential-testable: the pruned set is exactly the full set minus
+dominated rules.
 
 Usage: python -m repro.tools.regen_rules [max_term_size]
 """

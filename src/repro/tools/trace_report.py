@@ -199,14 +199,14 @@ def synthesis_rollup(events: list[dict]) -> str:
 
     Shows per-term-size enumeration cost (time, terms constructed, new
     representatives — the ``SynthesisPerf`` per-size counters the
-    enumerate span carries) and how much of verification ran batched
-    vs through the legacy per-environment loop, aggregated across
-    every synthesis run in the trace.
+    enumerate span carries) and how many verified rule sides ran
+    batched vs fell back to the per-environment loop after their
+    batched rows raised, aggregated across every synthesis run in the
+    trace.
     """
     size_times: dict[str, float] = {}
     size_terms: dict[str, int] = {}
     size_new: dict[str, int] = {}
-    backend = None
     shards = 0
     batched_terms = 0
     legacy_terms = 0
@@ -219,7 +219,6 @@ def synthesis_rollup(events: list[dict]) -> str:
         seen = True
         attrs = event.get("attrs", {})
         if name == "synthesize.enumerate":
-            backend = attrs.get("cvec_backend", backend)
             shards += attrs.get("shards", 0)
             for totals, key in (
                 (size_times, "size_times"),
@@ -236,8 +235,6 @@ def synthesis_rollup(events: list[dict]) -> str:
     if not seen:
         return "(no synthesis spans in this trace)"
     lines = []
-    if backend is not None:
-        lines.append(f"cvec backend: {backend} (shards: {shards})")
     if size_times:
         lines.append(f"{'size':>6}  {'time':>10}  {'terms':>8}  {'new':>8}")
         lines.append("-" * 40)
@@ -249,8 +246,9 @@ def synthesis_rollup(events: list[dict]) -> str:
                 f"  {size_new.get(size, 0):>8}"
             )
     lines.append(
-        f"verify sides: {batched_terms} batched, {legacy_terms} legacy"
-        f"; minimize screened: {screened}"
+        f"verify sides: {batched_terms} batched, "
+        f"{legacy_terms} per-environment fallback"
+        f"; minimize screened: {screened}; enumeration shards: {shards}"
     )
     return "\n".join(lines)
 

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import time
 
-from match_oracle import CompiledMatcher
+from match_oracle import CompiledMatcher, RecursiveMatcher
 
 from repro.egraph.compile_pattern import compile_pattern
 from repro.egraph.egraph import EClass, EGraph, ENode
-from repro.egraph.ematch import (
-    DEFAULT_MATCH_CAP,
-    DEFAULT_MATCH_WORK,
-    _legacy_requested,
-    _Matcher,
-)
+from repro.egraph.ematch import DEFAULT_MATCH_CAP, DEFAULT_MATCH_WORK
 from repro.egraph.rewrite import ApplyStats, Rewrite
 from repro.lang.ops import WILD
 from repro.lang.term import Term
@@ -48,12 +43,10 @@ class _DictMatcher(CompiledMatcher):
 
 
 def _make_matcher(egraph, pattern, cap, work, compiled):
-    if compiled is None:
-        compiled = not _legacy_requested()
     if compiled:
         matcher = _DictMatcher(compile_pattern(pattern), egraph, cap, work)
         return matcher, matcher.match_class
-    matcher = _Matcher(egraph, cap, work)
+    matcher = RecursiveMatcher(egraph, cap, work)
     return matcher, lambda cid: matcher.match(pattern, cid, [{}])
 
 
@@ -64,10 +57,14 @@ def oracle_ematch(
     limit: int | None = None,
     work_budget: int = DEFAULT_MATCH_WORK,
     roots: set[int] | None = None,
-    compiled: bool | None = None,
+    compiled: bool = True,
     counters: dict | None = None,
 ) -> list[tuple[int, dict]]:
-    """All ``(root class id, binding dict)`` matches of ``pattern``."""
+    """All ``(root class id, binding dict)`` matches of ``pattern``.
+
+    ``compiled=False`` matches with the recursive walk
+    (``match_oracle.RecursiveMatcher``) instead of the VM.
+    """
     results: list[tuple[int, dict]] = []
     cap = min(limit, DEFAULT_MATCH_CAP) if limit else DEFAULT_MATCH_CAP
 
@@ -162,7 +159,7 @@ def oracle_apply_rewrite(
     match_limit: int | None = None,
     match_work: int | None = None,
     roots: set[int] | None = None,
-    compiled: bool | None = None,
+    compiled: bool = True,
 ) -> ApplyStats:
     """Match ``rule.lhs`` everywhere and union with ``rule.rhs``."""
     stats = ApplyStats()

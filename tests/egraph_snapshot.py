@@ -1,8 +1,9 @@
-"""Versioned byte-level serialization of e-graphs.
+"""Versioned byte-level serialization of e-graphs, a test helper.
 
+The differential tests copy and byte-compare e-graphs through it: two
+graphs that serialize to equal bytes hold the same internal state.
 Following the eqsat-dialect observation that e-graphs flatten cleanly
-into table form (nodes / classes / union-find), this module gives the
-engine a compact serialized form:
+into table form (nodes / classes / union-find), it has three layers:
 
 - :func:`egraph_to_doc` / :func:`egraph_from_doc` — the flat-table
   document form (interned node table, class table, hashcons pairs,
@@ -17,9 +18,11 @@ engine a compact serialized form:
 Restoration rebuilds the *exact* internal state — dict insertion
 orders, worklist, touched set, staleness counters — so a restored
 graph behaves byte-identically to the live one under further
-saturation and extraction.  The differential tests copy and
-byte-compare e-graphs through it.  Anything malformed raises
-:class:`SnapshotError`.
+saturation and extraction.  A stateful field added to
+:class:`~repro.egraph.egraph.EGraph` must be added to
+:func:`egraph_to_doc` / :func:`egraph_from_doc` too (with a schema
+version bump), or copies silently diverge from live graphs.  Anything
+malformed raises :class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+
 from repro.egraph.egraph import EClass, EGraph
-from repro.egraph.unionfind import UnionFind
 
 #: Schema version of the serialized e-graph document.  Bump on any
 #: change to the payload layout; readers reject mismatches.
@@ -141,7 +144,10 @@ def egraph_to_doc(egraph: EGraph) -> dict:
         "hashcons": [
             [node_id(n), cid] for n, cid in egraph._hashcons.items()
         ],
-        "uf": egraph._uf.export_state(),
+        # Path compression rewrites parents on reads, so equal
+        # union-finds may hold different arrays: the byte comparisons
+        # also check that both sides compressed the same paths.
+        "uf": list(egraph._uf._parent),
         "worklist": list(egraph._worklist),
         "touched": sorted(egraph._touched),
         "op_index": [
@@ -177,7 +183,10 @@ def egraph_from_doc(doc: dict) -> EGraph:
             for row in doc["nodes"]
         ]
         egraph = EGraph()
-        egraph._uf = UnionFind.from_state(doc["uf"])
+        parents = [int(p) for p in doc["uf"]]
+        if any(not 0 <= p < len(parents) for p in parents):
+            raise SnapshotError("union-find parent id out of range")
+        egraph._uf._parent = parents
         for cid, node_idxs, parents_flat in doc["classes"]:
             eclass = EClass(cid)
             eclass.nodes = [nodes[i] for i in node_idxs]

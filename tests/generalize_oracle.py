@@ -9,7 +9,9 @@ its environments as a separate tree walk.  Accepted rules are
 numbered in emission order.  It is kept verbatim so the differential
 tests can check that the product generalizer and verifiers return the
 same rules, names, order, verdicts and counterexample strings on
-every input.
+every input.  ``serial=True`` runs either verifier on the
+per-environment fuzz loop alone, the path a rule side takes when its
+batched rows raise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.lang import term as T
 from repro.lang.pattern import wildcards_of
 from repro.lang.term import Term
 from repro.ruler.candidates import canonical_wildcards
-from repro.ruler.cvec import CvecEvaluator, legacy_cvec_requested
+from repro.ruler.cvec import CvecEvaluator
 from repro.ruler.lanes import (
     GeneralizationReport,
     _padding_rules,
@@ -137,11 +139,12 @@ def oracle_verify_rule(
     n_samples: int = 64,
     seed: int = 12345,
     perf: SynthesisPerf | None = None,
+    serial: bool = False,
 ) -> VerifyResult:
     """Check that ``lhs ~> rhs`` is sound under the ISA semantics.
 
     ``perf`` (optional) collects how many rule sides took the batched
-    vs per-environment fuzz path.
+    vs per-environment fuzz path; ``serial`` forces the latter.
     """
     poly_l = polynomial_of(lhs, spec)
     if poly_l is not None:
@@ -175,22 +178,22 @@ def oracle_verify_rule(
     lhs_term, rhs_term = pattern_to_term(lhs), pattern_to_term(rhs)
     # The sample grid depends on the rule's own variable names, so each
     # rule gets a fresh evaluator — sharing one across rules would
-    # change the fuzz inputs and could flip verdicts vs the legacy path.
+    # change the fuzz inputs and could flip verdicts vs the serial path.
     # A rationally-equal rule's corners hold its own constants too.
     corners = CORNER_VALUES
     if rationally_equal:
         corners += definedness_corners(lhs, rhs)
     envs = tuple(sample_envs(tuple(names), n_random=n_samples, seed=seed,
                              corner_values=corners))
-    if not legacy_cvec_requested():
+    if not serial:
         result = _fuzz_batched(
             lhs_term, rhs_term, interpreter, envs, rationally_equal, perf
         )
         if result is not None:
             return result
         # Batched evaluation raised mid-grid; the serial loop below
-        # reproduces the legacy outcome (a counterexample found before
-        # the failing environment, or the same error).
+        # reproduces its outcome (a counterexample found before the
+        # failing environment, or the same error).
     if perf is not None:
         perf.verify_legacy_terms += 2
     return _fuzz_serial(
@@ -241,8 +244,8 @@ def _fuzz_serial(
     envs: tuple,
     rationally_equal: bool,
 ) -> VerifyResult:
-    """The historical per-environment fuzz loop (legacy path and the
-    fallback when batched evaluation errors mid-grid)."""
+    """The historical per-environment fuzz loop (the serial path and
+    the fallback when batched evaluation errors mid-grid)."""
     for env in envs:
         left = interpreter.evaluate(lhs_term, env)
         right = interpreter.evaluate(rhs_term, env)
@@ -272,6 +275,7 @@ def oracle_verify_vector_rule(
     n_samples: int = 16,
     seed: int = 54321,
     perf: SynthesisPerf | None = None,
+    serial: bool = False,
 ) -> VerifyResult:
     """Full-width check of a generalized rule (§3.1's re-verification).
 
@@ -279,8 +283,8 @@ def oracle_verify_vector_rule(
     real lane-wise interpreter, so any cross-lane unsoundness
     introduced by generalization is caught here.  Like
     :func:`oracle_verify_rule`, both sides evaluate as cached batched
-    rows, with the per-environment loop as the legacy path and error
-    fallback.
+    rows, with the per-environment loop as the ``serial`` path and the
+    error fallback.
     """
     from random import Random
 
@@ -307,14 +311,14 @@ def oracle_verify_vector_rule(
         envs.append(env)
 
     rows = None
-    if not legacy_cvec_requested():
+    if not serial:
         evaluator = CvecEvaluator(interpreter, envs, perf=perf)
         try:
             rows = (
                 evaluator.row_of(lhs_term), evaluator.row_of(rhs_term)
             )
         except EvalError:
-            rows = None  # serial loop reproduces the legacy outcome
+            rows = None  # the serial loop reproduces the outcome
     if rows is not None:
         if perf is not None:
             perf.verify_batched_terms += 2

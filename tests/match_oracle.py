@@ -1,14 +1,24 @@
-"""The e-matching VM interpreter, kept as a differential oracle.
+"""The two e-matchers the generated matchers replaced, kept as oracles.
 
-This is how ``repro.egraph.ematch`` ran a compiled LHS program before
-each program shape became a generated Python function
-(``repro.egraph.compile_pattern.shape_matcher``).  ``CompiledMatcher``
-dispatches one instruction at a time, recurses once per SCAN hit and
-is called once per candidate root; ``oracle_ematch_slots`` is the
-candidate loop ``ematch_slots`` wrapped around it.  Both are kept
-verbatim so ``tests/test_ematch_compiled.py`` can check that the
-generated matchers return the same groups, spend the same work and
-leave the union-find parent array exactly as the VM did.
+``CompiledMatcher`` is the e-matching VM interpreter: how
+``repro.egraph.ematch`` ran a compiled LHS program before each program
+shape became a generated Python function
+(``repro.egraph.compile_pattern.shape_matcher``).  It dispatches one
+instruction at a time, recurses once per SCAN hit and is called once
+per candidate root; ``oracle_ematch_slots`` is the candidate loop
+``ematch_slots`` wrapped around it.
+
+``RecursiveMatcher`` is the classic backtracking relational walk over
+the pattern term, the executable specification of e-matching that
+predates compiled patterns.  ``recursive_ematch`` and
+``recursive_match_in_class`` are ``ematch`` and ``match_in_class``
+running it inside the same candidate loop, its ``dict`` bindings
+converted to slot tuples and back as the product's are.
+
+Both are kept verbatim so ``tests/test_ematch_compiled.py`` can check
+that the generated matchers return the same matches and spend the same
+work, and, against the VM, leave the union-find parent array exactly
+as its ``find`` calls did.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from repro.lang.term import Term
 class CompiledMatcher:
     """Runs one compiled program over a (possibly dirty) e-graph.
 
-    Mirrors the legacy ``_Matcher`` contract: a shared work budget
+    Mirrors the :class:`RecursiveMatcher` contract: a shared work budget
     across calls, a per-compound binding cap, and class ids
     canonicalized through the union-find at every read so matching
     mid-iteration (between rule applications, before the batched
@@ -113,7 +123,7 @@ class CompiledMatcher:
                     if len(children) != n_args:
                         continue
                     if work <= 0:
-                        # The legacy matcher's per-child entry check:
+                        # The recursive matcher's per-child entry check:
                         # an exhausted budget yields no bindings for
                         # this node, and the next node stops the scan.
                         break
@@ -265,3 +275,185 @@ def oracle_ematch_slots(
             if matcher.work <= 0:
                 break
     return groups, matcher.work
+
+
+class RecursiveMatcher:
+    """One pattern-matching context over an e-graph (recursive walk).
+
+    Holds direct references to the union-find and class table — the
+    matcher was the saturation hot path, and attribute/method lookups
+    per node measurably dominated otherwise.
+    """
+
+    __slots__ = ("_find", "_classes", "_cap", "work")
+
+    def __init__(self, egraph: EGraph, cap: int, work: int = DEFAULT_MATCH_WORK):
+        self._find = egraph._uf.find
+        self._classes = egraph._classes
+        self._cap = cap
+        self.work = work
+
+    @property
+    def exhausted(self) -> bool:
+        """True once the e-node-visit work budget is spent."""
+        return self.work <= 0
+
+    def match(
+        self, pattern: Term, class_id: int, bindings: list[dict]
+    ) -> list[dict]:
+        """``bindings`` extended by every match of ``pattern`` at
+        ``class_id``."""
+        if self.work <= 0:
+            return []
+        find = self._find
+        class_id = find(class_id)
+
+        if pattern.op == WILD:
+            name = pattern.payload
+            out: list[dict] = []
+            append = out.append
+            for binding in bindings:
+                bound = binding.get(name)
+                if bound is None:
+                    extended = dict(binding)
+                    extended[name] = class_id
+                    append(extended)
+                elif find(bound) == class_id:
+                    append(binding)
+            return out
+
+        nodes = self._classes[class_id].nodes
+        pat_args = pattern.args
+
+        if not pat_args and pattern.is_leaf:
+            # Leaf pattern: the exact leaf e-node must be present.
+            target = (pattern.op, pattern.payload, ())
+            for node in nodes:
+                if self.work <= 0:
+                    break
+                self.work -= 1
+                if node == target:
+                    return bindings
+            return []
+
+        op = pattern.op
+        payload = pattern.payload
+        n_args = len(pat_args)
+        cap = self._cap
+        out = []
+        for node in nodes:
+            if self.work <= 0:
+                break
+            self.work -= 1
+            if node[0] != op or node[1] != payload:
+                continue
+            children = node[2]
+            if len(children) != n_args:
+                continue
+            extended = bindings
+            for pat, child in zip(pat_args, children):
+                extended = self.match(pat, child, extended)
+                if not extended:
+                    break
+            if extended:
+                out.extend(extended)
+                if len(out) >= cap:
+                    del out[cap:]
+                    break
+        return out
+
+
+def _recursive_groups(
+    egraph: EGraph,
+    pattern: Term,
+    candidates,
+    roots: set[int] | None,
+    limit: int | None,
+    work: int,
+    cap: int,
+) -> tuple[list[tuple[int, list[tuple]]], int]:
+    """The generated matchers' candidate loop around the recursive walk.
+
+    Returns ``(groups, remaining work)``; the walk's ``dict`` bindings
+    become slot tuples here, as they did in the product.
+    """
+    matcher = RecursiveMatcher(egraph, cap, work)
+    names = compile_pattern(pattern).slot_names
+    uf = egraph._uf
+    find = uf.find
+    parent = uf._parent
+    groups: list[tuple[int, list[tuple]]] = []
+    n_matches = 0
+    seen: set[int] = set()
+    for class_id in candidates:
+        # find() without the call when the path is already short.
+        root = parent[class_id]
+        if root != parent[root]:
+            root = find(class_id)
+        if root in seen:
+            continue
+        seen.add(root)
+        if roots is not None and root not in roots:
+            continue
+        bindings = [
+            tuple([binding[name] for name in names])
+            for binding in matcher.match(pattern, root, [{}])
+        ]
+        if bindings:
+            groups.append((root, bindings))
+            n_matches += len(bindings)
+            if limit is not None and n_matches >= limit:
+                break
+        if matcher.work <= 0:
+            break
+    return groups, matcher.work
+
+
+def recursive_match_in_class(
+    egraph: EGraph,
+    pattern: Term,
+    class_id: int,
+    cap: int = DEFAULT_MATCH_CAP,
+) -> list[dict]:
+    """``match_in_class`` on the recursive walk."""
+    groups, _work = _recursive_groups(egraph, pattern, (class_id,), None,
+                                      None, DEFAULT_MATCH_WORK, cap)
+    names = compile_pattern(pattern).slot_names
+    return [dict(zip(names, s)) for _root, bindings in groups
+            for s in bindings]
+
+
+def recursive_ematch(
+    egraph: EGraph,
+    pattern: Term,
+    op_index: dict[str, list[int]] | None = None,
+    limit: int | None = None,
+    work_budget: int = DEFAULT_MATCH_WORK,
+    roots: set[int] | None = None,
+    counters: dict | None = None,
+) -> list[tuple[int, dict]]:
+    """``ematch`` on the recursive walk: ``(root, binding dict)`` pairs."""
+    names = compile_pattern(pattern).slot_names
+    cap = min(limit, DEFAULT_MATCH_CAP) if limit else DEFAULT_MATCH_CAP
+    if pattern.op == WILD:
+        # A bare-wildcard LHS matches every class once.
+        groups = []
+        for eclass in egraph.classes():
+            if roots is not None and eclass.id not in roots:
+                continue
+            groups.append((eclass.id, [(eclass.id,)]))
+            if limit is not None and len(groups) >= limit:
+                break
+    else:
+        if op_index is not None:
+            candidates = op_index.get(pattern.op, ())
+        else:
+            candidates = egraph._classes
+        groups, work = _recursive_groups(egraph, pattern, candidates, roots,
+                                         limit, work_budget, cap)
+        if counters is not None:
+            counters["node_visits"] = (
+                counters.get("node_visits", 0) + (work_budget - work)
+            )
+    return [(root, dict(zip(names, s))) for root, bindings in groups
+            for s in bindings]

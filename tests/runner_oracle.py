@@ -9,6 +9,10 @@ product loop (``repro.egraph.runner``) reads a
 :class:`~repro.egraph.runner.RuleTable` and skips that bookkeeping for
 unmatchable rules; ``tests/test_runner_differential.py`` checks that
 both produce the same e-graph, report and counters.
+
+``op_index_rescan`` is the per-op candidate index as it was built
+before ``EGraph`` maintained it incrementally: one scan of every
+e-node.  The index tests compare the incremental one against it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,18 @@ from repro.egraph.runner import (
     RunnerReport,
     SaturationPerf,
     StopReason,
-    _legacy_index_requested,
 )
 from repro.obs import NULL_TRACER
+
+
+def op_index_rescan(egraph: EGraph) -> dict[str, list[int]]:
+    """Map op -> ids of the classes holding a node with that op, built
+    by rescanning every e-node of the class table."""
+    index: dict[str, list[int]] = {}
+    for eclass in egraph._classes.values():
+        for node in eclass.nodes:
+            index.setdefault(node[0], []).append(eclass.id)
+    return index
 
 
 def oracle_run_saturation(
@@ -60,7 +73,6 @@ def _run_saturation(
     start = time.monotonic()
     report = RunnerReport(stop_reason=StopReason.ITERATION_LIMIT)
     perf = report.perf
-    legacy_index = _legacy_index_requested()
 
     t0 = time.monotonic()
     egraph.rebuild()
@@ -77,7 +89,7 @@ def _run_saturation(
             n_unions=0,
         )
         t0 = time.monotonic()
-        op_index = egraph.op_index(rescan=legacy_index)
+        op_index = egraph.op_index()
         perf.index_time += time.monotonic() - t0
         unions_before = egraph.n_unions
         any_skipped = False

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from apply_oracle import oracle_apply_rewrite, oracle_rebuild
+from egraph_snapshot import load_egraph, save_egraph
 from test_extract_differential import fig4_style_options
 from test_property_egraph import terms
 
@@ -26,7 +27,6 @@ from repro.core.pregen import default_compiler
 from repro.egraph import runner as runner_module
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import apply_rewrite, parse_rewrite
-from repro.egraph.snapshot import load_egraph, save_egraph
 from repro.isa import fusion_g3_spec
 from repro.kernels.suite import suite_by_key
 from repro.lang.parser import parse

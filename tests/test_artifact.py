@@ -359,9 +359,9 @@ class TestPruningProvenance:
         assert "kept 97/184" in restored.summary()
 
     def test_absent_pruning_tolerated(self, spec):
-        # Artifacts written before the pruning stage existed (or on
-        # the legacy path) carry no pruning key; loading must not
-        # care, and the fingerprint must not move.
+        # Artifacts written before the pruning stage existed carry
+        # no pruning key; loading must not care, and the fingerprint
+        # must not move.
         compiler = _handmade_compiler(spec)
         artifact = compiler.to_artifact()
         doc = json.loads(artifact.to_json())

@@ -14,7 +14,6 @@ from repro.ruler.cost_prune import (
     CostPruneReport,
     cost_model_digest,
     cost_prune_rules,
-    legacy_costprune_requested,
     lhs_subsumes,
     rule_delta,
 )
@@ -185,17 +184,6 @@ class TestDigest:
             fam.spec(8)
         )
 
-
-class TestLegacyFlag:
-    def test_flag_parsing(self, monkeypatch):
-        for value in ("1", "true", "YES", " on "):
-            monkeypatch.setenv("REPRO_LEGACY_COSTPRUNE", value)
-            assert legacy_costprune_requested()
-        for value in ("", "0", "no", "off"):
-            monkeypatch.setenv("REPRO_LEGACY_COSTPRUNE", value)
-            assert not legacy_costprune_requested()
-        monkeypatch.delenv("REPRO_LEGACY_COSTPRUNE")
-        assert not legacy_costprune_requested()
 
 
 class TestDeterministicLimits:

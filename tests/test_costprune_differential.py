@@ -1,12 +1,13 @@
-"""Differential test: pruned vs legacy unpruned ruleset parity.
+"""Differential test: pruned vs full shipped ruleset parity.
 
-``REPRO_LEGACY_COSTPRUNE=1`` switches the shipped-ruleset path back to
-the full, unpruned rule file.  The pruned default must never compile
-worse code: under deterministic fixpoint-style saturation budgets the
-two rulesets close their e-graphs over the same terms (every dropped
-rule is derivable from survivors), and canonical tie-breaking makes
-extraction a function of that term set — so the compiled program
-should be byte-identical, and must at minimum be equal-or-cheaper.
+The full compiler is built from ``fusion_g3_rules_full.txt``, the
+unpruned synthesis output the shipped default is pruned from.  The
+pruned default must never compile worse code: under deterministic
+fixpoint-style saturation budgets the two rulesets close their
+e-graphs over the same terms (every dropped rule is derivable from
+survivors), and canonical tie-breaking makes extraction a function of
+that term set — so the compiled program should be byte-identical, and
+must at minimum be equal-or-cheaper.
 """
 
 from __future__ import annotations
@@ -15,9 +16,16 @@ import pytest
 
 from repro.compiler.compile import CompileOptions
 from repro.compiler.frontend import trace_kernel
-from repro.core.pregen import default_compiler
+from repro.core.framework import GeneratedCompiler
+from repro.core.pregen import (
+    FULL_RULES_FILE,
+    default_compiler,
+    load_pregenerated_rules,
+)
 from repro.egraph.runner import RunnerLimits
 from repro.isa import fusion_g3_spec
+from repro.phases.assign import assign_phases, default_params
+from repro.phases.cost import CostModel
 
 _LENGTH = 8
 
@@ -51,19 +59,30 @@ def _mac_program():
     ), mac
 
 
+def _full_compiler(spec, options: CompileOptions) -> GeneratedCompiler:
+    """``default_compiler`` over the full, unpruned rule file."""
+    cost_model = CostModel(spec)
+    ruleset = assign_phases(
+        cost_model, load_pregenerated_rules(FULL_RULES_FILE),
+        default_params(spec),
+    )
+    return GeneratedCompiler(
+        spec=spec, cost_model=cost_model, ruleset=ruleset, options=options,
+    )
+
+
 @pytest.fixture()
-def compiled_pair(monkeypatch):
+def compiled_pair():
     """(full, pruned) compile results for the same kernel."""
     program, mac = _mac_program()
     spec = fusion_g3_spec()
     options = _fixpoint_options()
+    compilers = {
+        "full": _full_compiler(spec, options),
+        "pruned": default_compiler(spec, compile_options=options),
+    }
     results = {}
-    for mode in ("full", "pruned"):
-        if mode == "full":
-            monkeypatch.setenv("REPRO_LEGACY_COSTPRUNE", "1")
-        else:
-            monkeypatch.delenv("REPRO_LEGACY_COSTPRUNE")
-        compiler = default_compiler(spec, compile_options=options)
+    for mode, compiler in compilers.items():
         compiled = compiler.compile_kernel(program, validate=False)
         results[mode] = {
             "n_rules": len(compiler.ruleset),

@@ -1,11 +1,12 @@
-"""Differential fuzz: batched cvec evaluation vs the legacy oracle.
+"""Differential fuzz: batched cvec evaluation vs the per-environment oracle.
 
 The batched :class:`CvecEvaluator` must fingerprint every term exactly
-as the legacy path (one tree interpretation per environment) does —
-including UNDEFINED propagation through division by zero and the float
-rounding that sqrt introduces — and the enumeration built on top of it
-must produce identical pools, pairs, and synthesized rules, sharded or
-not.  ``REPRO_LEGACY_CVEC=1`` selects the oracle.
+as one tree interpretation per environment does (``tests/cvec_oracle.py``)
+— including UNDEFINED propagation through division by zero and the
+float rounding that sqrt introduces — and the enumeration built on top
+of it must produce identical pools, pairs, and synthesized rules,
+sharded or not.  Verification must reach the verdicts of the
+per-environment fuzz loop (``tests/generalize_oracle.py``).
 """
 
 import pickle
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from cvec_oracle import cvec_of, oracle_enumerate_terms
 from generalize_oracle import (
     oracle_generalize_rules,
     oracle_verify_rule,
@@ -27,13 +29,7 @@ from repro.isa.families import bundled_spec_factories
 from repro.lang import builders as B
 from repro.lang import term as T
 from repro.lang.parser import parse
-from repro.ruler.cvec import (
-    CvecEvaluator,
-    CvecSpec,
-    GridCache,
-    cvec_of,
-    legacy_cvec_requested,
-)
+from repro.ruler.cvec import CvecEvaluator, CvecSpec, GridCache
 from repro.ruler.enumerate import enumerate_terms
 from repro.ruler.lanes import generalize_rules
 from repro.ruler.stats import SynthesisPerf
@@ -62,18 +58,6 @@ def _random_term(rng, ops, atoms, depth):
             for _ in range(instr.arity)
         ),
     )
-
-
-class TestFlagParsing:
-    def test_legacy_flag_truthiness(self, monkeypatch):
-        for raw, expected in (
-            ("1", True), ("true", True), ("YES", True), (" on ", True),
-            ("0", False), ("", False), ("off", False),
-        ):
-            monkeypatch.setenv("REPRO_LEGACY_CVEC", raw)
-            assert legacy_cvec_requested() is expected
-        monkeypatch.delenv("REPRO_LEGACY_CVEC")
-        assert legacy_cvec_requested() is False
 
 
 class TestFingerprintParity:
@@ -147,20 +131,27 @@ class TestFingerprintParity:
         assert evaluator.perf.cvec_cache_misses == misses + 1
 
 
+def _assert_enumeration_matches_oracle(spec, max_size):
+    grid = CvecSpec.make(("a", "b"), n_random=8, seed=0)
+    oracle = oracle_enumerate_terms(spec, grid, max_size=max_size)
+    batched = enumerate_terms(spec, grid, max_size=max_size, jobs=1)
+    assert batched.representatives == oracle.representatives
+    assert batched.pairs == oracle.pairs
+    assert batched.n_enumerated == oracle.n_enumerated
+    assert batched.aborted == oracle.aborted
+    return batched
+
+
 class TestEnumerationParity:
     @pytest.mark.parametrize("spec", _specs())
-    def test_legacy_and_batched_identical(self, spec, monkeypatch):
-        grid = CvecSpec.make(("a", "b"), n_random=8, seed=0)
-        monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
-        legacy = enumerate_terms(spec, grid, max_size=3)
-        assert legacy.perf.backend == "legacy"
-        monkeypatch.delenv("REPRO_LEGACY_CVEC")
-        batched = enumerate_terms(spec, grid, max_size=3)
-        assert batched.perf.backend == "batched"
-        assert batched.representatives == legacy.representatives
-        assert batched.pairs == legacy.pairs
-        assert batched.n_enumerated == legacy.n_enumerated
-        assert batched.aborted == legacy.aborted
+    def test_legacy_and_batched_identical(self, spec):
+        _assert_enumeration_matches_oracle(spec, max_size=3)
+
+    def test_size_four_matches_oracle(self, spec):
+        # Size 4 is where the candidate count explodes and rows of
+        # size-3 pool terms feed new candidates.
+        result = _assert_enumeration_matches_oracle(spec, max_size=4)
+        assert result.perf.per_size_new[4] > 0
 
     def test_sharded_matches_serial(self, spec, monkeypatch):
         # jobs=2 + REPRO_PARALLEL=2 force the shard/merge path even on
@@ -230,34 +221,32 @@ class TestVerifyParity:
         ("(Vec (* ?a ?b) ?a ?b 0)", "(Vec (* ?b ?a) ?a ?b 0)"),
     ]
 
-    def test_batched_and_legacy_verdicts_agree(self, spec, monkeypatch):
+    def test_batched_and_legacy_verdicts_agree(self, spec):
         for lhs, rhs, expected in self._RULES:
             lhs, rhs = parse(lhs), parse(rhs)
-            monkeypatch.delenv("REPRO_LEGACY_CVEC", raising=False)
             batched = verify_rule(lhs, rhs, spec)
-            monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
-            legacy = verify_rule(lhs, rhs, spec)
-            assert batched.ok is legacy.ok is expected
-            assert batched.method == legacy.method
-            assert batched.detail == legacy.detail
+            serial = oracle_verify_rule(lhs, rhs, spec, serial=True)
+            assert batched.ok is serial.ok is expected
+            assert batched.method == serial.method
+            assert batched.detail == serial.detail
 
     @pytest.mark.parametrize(
         "isa", [fusion_g3_spec(), masked_spec(4)], ids=lambda s: s.name
     )
-    def test_shared_grid_verdicts_equal_one_off_and_legacy(
-        self, isa, monkeypatch
-    ):
+    def test_shared_grid_verdicts_equal_one_off_and_legacy(self, isa):
         checks = [
             (parse(lhs), parse(rhs), False)
             for lhs, rhs in self._SHARED_NAMES + [r[:2] for r in self._RULES]
         ] + [(parse(lhs), parse(rhs), True) for lhs, rhs in self._VECTOR]
-        monkeypatch.delenv("REPRO_LEGACY_CVEC", raising=False)
-        oracle = [
-            (oracle_verify_vector_rule if vector else oracle_verify_rule)(
-                lhs, rhs, isa
-            )
-            for lhs, rhs, vector in checks
-        ]
+        oracle, serial = (
+            [
+                (oracle_verify_vector_rule if vector else oracle_verify_rule)(
+                    lhs, rhs, isa, serial=per_env
+                )
+                for lhs, rhs, vector in checks
+            ]
+            for per_env in (False, True)
+        )
         one_off = [
             (verify_vector_rule if vector else verify_rule)(lhs, rhs, isa)
             for lhs, rhs, vector in checks
@@ -272,9 +261,7 @@ class TestVerifyParity:
             )
             for lhs, rhs, vector in checks
         ]
-        monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
-        legacy = verify_rules(checks, isa)
-        assert grouped == one_off == shared == legacy == oracle
+        assert grouped == one_off == shared == serial == oracle
         verdicts = [result.ok for result in one_off]
         assert True in verdicts and False in verdicts
         assert {result.method for result in one_off} == {"exact", "fuzz"}

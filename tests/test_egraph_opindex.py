@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from runner_oracle import op_index_rescan
+
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import ematch
 from repro.egraph.rewrite import parse_rewrite
@@ -45,7 +47,7 @@ class TestIncrementalIndex:
         g = EGraph()
         _random_mutations(g, rng, 60)
         incremental = _canonical_sets(g, g.op_index())
-        rescan = _canonical_sets(g, g.op_index_rescan())
+        rescan = _canonical_sets(g, op_index_rescan(g))
         assert incremental == rescan
 
     def test_compaction_bounds_entries(self):
@@ -68,13 +70,6 @@ class TestIncrementalIndex:
         assert snapshot["+"] == before
         assert len(g.op_index()["+"]) == 2
 
-    def test_rescan_flag_returns_fresh_build(self):
-        g = EGraph()
-        g.add_term(parse("(* a b)"))
-        assert _canonical_sets(g, g.op_index(rescan=True)) == (
-            _canonical_sets(g, g.op_index())
-        )
-
     def test_ematch_results_identical_with_either_index(self):
         g = EGraph()
         a = g.add_term(parse("(+ (neg p) q)"))
@@ -83,7 +78,7 @@ class TestIncrementalIndex:
         g.rebuild()
         pattern = parse("(+ ?x ?y)")
         inc = ematch(g, pattern, op_index=g.op_index())
-        scan = ematch(g, pattern, op_index=g.op_index_rescan())
+        scan = ematch(g, pattern, op_index=op_index_rescan(g))
         key = lambda m: (g.find(m[0]), tuple(sorted(m[1].items())))
         assert sorted(map(key, inc)) == sorted(map(key, scan))
 

@@ -4,11 +4,11 @@ The product matcher runs each LHS program as a generated Python
 function (:func:`repro.egraph.compile_pattern.shape_matcher`).  It must
 return the *identical* match list — same ``(root, binding)`` pairs,
 same order, same truncation under caps and work budgets, same node
-visits — as two oracles on any e-graph: the legacy recursive matcher
-(``compiled=False``) and the e-matching VM interpreter the generated
-functions replaced (``tests/match_oracle.py``).  Against the VM it
-must also spend the same work and leave the union-find parent array
-exactly as the VM's ``find`` calls did.
+visits — as two oracles on any e-graph, both in
+``tests/match_oracle.py``: the recursive matcher and the e-matching VM
+interpreter the generated functions replaced.  Against the VM it must
+also spend the same work and leave the union-find parent array exactly
+as the VM's ``find`` calls did.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from fractions import Fraction
 
 import pytest
 
-from match_oracle import CompiledMatcher, oracle_ematch_slots
+from egraph_snapshot import load_egraph, save_egraph
+from match_oracle import (
+    CompiledMatcher,
+    oracle_ematch_slots,
+    recursive_ematch,
+    recursive_match_in_class,
+)
 
 from repro.egraph.compile_pattern import (
     BINDW,
@@ -42,7 +48,6 @@ from repro.egraph.ematch import (
     ematch_slots,
     match_in_class,
 )
-from repro.egraph.snapshot import load_egraph, save_egraph
 from repro.lang.ops import CONST
 from repro.lang.parser import parse, to_sexpr
 from repro.lang.term import Term, const, make, symbol, wildcard
@@ -51,10 +56,10 @@ from repro.lang.term import Term, const, make, symbol, wildcard
 def _assert_same_matches(g, pattern, **kwargs):
     fast_visits: dict = {}
     slow_visits: dict = {}
-    fast = ematch(g, pattern, compiled=True, counters=fast_visits, **kwargs)
-    slow = ematch(g, pattern, compiled=False, counters=slow_visits, **kwargs)
+    fast = ematch(g, pattern, counters=fast_visits, **kwargs)
+    slow = recursive_ematch(g, pattern, counters=slow_visits, **kwargs)
     assert fast == slow, (
-        f"pattern {to_sexpr(pattern)}: compiled={fast} legacy={slow}"
+        f"pattern {to_sexpr(pattern)}: compiled={fast} recursive={slow}"
     )
     assert fast_visits == slow_visits, to_sexpr(pattern)
     return fast
@@ -74,7 +79,7 @@ def _assert_same_as_vm(g, pattern, use_index=True, **kwargs):
     budget = kwargs.get("work_budget", DEFAULT_MATCH_WORK)
     counters: dict = {}
     got = ematch_slots(
-        product, pattern, compiled=True, counters=counters,
+        product, pattern, counters=counters,
         op_index=product.op_index() if use_index else None, **kwargs,
     )
     want, work = oracle_ematch_slots(
@@ -206,13 +211,13 @@ class TestDirectedCases:
         root = g.add_term(parse("(neg 7)"))
         _assert_same_matches(g, parse("(neg 7)"), op_index=g.op_index())
         _assert_same_matches(g, parse("(neg 8)"), op_index=g.op_index())
-        assert match_in_class(g, parse("(neg 7)"), root, compiled=True) == [{}]
+        assert match_in_class(g, parse("(neg 7)"), root) == [{}]
 
     def test_wildcard_root_match_in_class(self):
         g = EGraph()
         root = g.add_term(parse("(+ a b)"))
-        fast = match_in_class(g, parse("?w"), root, compiled=True)
-        slow = match_in_class(g, parse("?w"), root, compiled=False)
+        fast = match_in_class(g, parse("?w"), root)
+        slow = recursive_match_in_class(g, parse("?w"), root)
         assert fast == slow == [{"w": g.find(root)}]
 
     def test_nonlinear_across_siblings(self):
@@ -248,8 +253,8 @@ class TestDirectedCases:
         g.rebuild()
         pattern = parse("(+ ?x ?y)")
         for cap in (1, 2, 7, 26, 1000):
-            fast = match_in_class(g, pattern, root, cap=cap, compiled=True)
-            slow = match_in_class(g, pattern, root, cap=cap, compiled=False)
+            fast = match_in_class(g, pattern, root, cap=cap)
+            slow = recursive_match_in_class(g, pattern, root, cap=cap)
             assert fast == slow
             assert len(fast) == min(cap, 26)
 
@@ -271,15 +276,6 @@ class TestDirectedCases:
         ematch(g, parse("(+ ?a ?b)"), op_index=g.op_index(),
                counters=counters)
         assert counters["node_visits"] > 0
-
-    def test_env_flag_selects_legacy(self, monkeypatch):
-        g = EGraph()
-        g.add_term(parse("(+ a b)"))
-        monkeypatch.setenv("REPRO_LEGACY_EMATCH", "1")
-        legacy_default = ematch(g, parse("(+ ?a ?b)"))
-        monkeypatch.delenv("REPRO_LEGACY_EMATCH")
-        compiled_default = ematch(g, parse("(+ ?a ?b)"))
-        assert legacy_default == compiled_default
 
 
 # -- randomized differential fuzzing -------------------------------------
@@ -326,7 +322,7 @@ def test_fuzz_compiled_equals_legacy(seed):
     for _ in range(8):
         pattern = _random_pattern(rng, rng.randint(1, 3))
         if pattern.op == "Wild":
-            continue  # handled before matcher selection, trivially equal
+            continue  # handled before matching, trivially equal
         limit = rng.choice([None, 1, 3, 50])
         budget = rng.choice([5, 37, 10_000])
         kwargs = dict(limit=limit, work_budget=budget)

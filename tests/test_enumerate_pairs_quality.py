@@ -21,7 +21,7 @@ class TestDiscoveredEquivalences:
         result = enumerate_terms(spec, grid, max_size=3)
         reps = result.representatives
         interp = spec.interpreter()
-        from repro.ruler.cvec import cvec_of
+        from cvec_oracle import cvec_of
 
         add_cvec = cvec_of(parse("(+ a b)"), interp, grid)
         vecadd_cvec = cvec_of(parse("(VecAdd a b)"), interp, grid)

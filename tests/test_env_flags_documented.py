@@ -49,9 +49,6 @@ def test_known_flags_present():
     text = ENV_FLAGS_DOC.read_text()
     for flag in (
         "REPRO_TRACE",
-        "REPRO_LEGACY_EMATCH",
-        "REPRO_LEGACY_CVEC",
-        "REPRO_LEGACY_INDEX",
         "REPRO_PARALLEL",
         "REPRO_RULE_CACHE",
         "REPRO_SERVICE_PORT",

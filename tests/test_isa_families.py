@@ -384,34 +384,27 @@ class TestMaskedVerification:
         ) is None
 
     @staticmethod
-    def _projection_outcome(monkeypatch, path, *args, **kwargs):
-        """The projection's result (or error message): ``"batched"``,
-        ``"serial"`` (the per-environment path) or ``"oracle"`` (the
-        one-tree-walk-per-environment projection it replaced)."""
-        from generalize_oracle import oracle_masked_projection
+    def _projection_outcome(check, *args, **kwargs):
+        """The projection's result, or its error message."""
         from repro.interp.interpreter import EvalError
-        from repro.ruler.verify import _verify_masked_projection
 
-        check = _verify_masked_projection
-        if path == "oracle":
-            check = oracle_masked_projection
-        if path == "serial":
-            monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
-        else:
-            monkeypatch.delenv("REPRO_LEGACY_CVEC", raising=False)
         try:
             return check(*args, **kwargs)
         except EvalError as exc:
             return f"EvalError: {exc}"
 
-    def _all_paths(self, monkeypatch, *args, **kwargs):
-        """The outcome on every path, asserted equal."""
-        batched, serial, oracle = (
-            self._projection_outcome(monkeypatch, path, *args, **kwargs)
-            for path in ("batched", "serial", "oracle")
+    def _all_paths(self, *args, **kwargs):
+        """The product's outcome, asserted equal to the oracle's (the
+        one-tree-walk-per-environment projection it replaced)."""
+        from generalize_oracle import oracle_masked_projection
+        from repro.ruler.verify import _verify_masked_projection
+
+        product, oracle = (
+            self._projection_outcome(check, *args, **kwargs)
+            for check in (_verify_masked_projection, oracle_masked_projection)
         )
-        assert batched == serial == oracle
-        return batched
+        assert product == oracle
+        return product
 
     @staticmethod
     def _rows_raise(interpreter, lhs, rhs, names, kinds, width, seed):
@@ -432,9 +425,7 @@ class TestMaskedVerification:
             return True
         return False
 
-    def test_projection_batched_matches_serial_on_smuggling(
-        self, monkeypatch
-    ):
+    def test_projection_batched_matches_serial_on_smuggling(self):
         spec = masked_spec(4)
         interpreter = spec.interpreter()
         names = ["x0", "x1", "x2", "x3"]
@@ -443,10 +434,10 @@ class TestMaskedVerification:
         lhs = B.vec(*lanes)
         swapped = B.vec(lanes[3], lanes[1], lanes[2], lanes[0])
         args = (lhs, swapped, interpreter, names, kinds, 4)
-        outcome = self._all_paths(monkeypatch, *args, seed=1)
+        outcome = self._all_paths(*args, seed=1)
         assert outcome is not None and "masked (active=1)" in outcome.detail
 
-    def test_projection_skips_env_made_undefined_by_junk(self, monkeypatch):
+    def test_projection_skips_env_made_undefined_by_junk(self):
         # x + 7 is positive on every active lane (drawn from [-6, 6])
         # but often negative on a junk lane, whose sqrt then makes the
         # left side UNDEFINED (one undefined lane undefines the
@@ -471,17 +462,15 @@ class TestMaskedVerification:
         assert UNDEFINED in left
         assert any(value is not UNDEFINED for value in left)
         args = (lhs, rhs, interpreter, names, kinds, 4)
-        assert self._all_paths(monkeypatch, *args, seed=7) is None
+        assert self._all_paths(*args, seed=7) is None
         # Against a wrong right side, the first environment the left
         # side defines fails, identically on every path.
         wrong = parse("(VecNeg x)")
         args = (lhs, wrong, interpreter, names, kinds, 4)
-        outcome = self._all_paths(monkeypatch, *args, seed=7)
+        outcome = self._all_paths(*args, seed=7)
         assert outcome is not None and outcome.detail.startswith("masked")
 
-    def test_projection_eval_error_falls_back_per_environment(
-        self, monkeypatch
-    ):
+    def test_projection_eval_error_falls_back_per_environment(self):
         # A lane function that raises on large values: junk lanes hit
         # it mid-grid, so batched evaluation raises and the check runs
         # per environment, reporting whatever that loop reaches first.
@@ -508,7 +497,7 @@ class TestMaskedVerification:
             ):
                 continue
             args = (lhs, rhs, interpreter, names, kinds, 4)
-            outcome = self._all_paths(monkeypatch, *args, seed=seed)
+            outcome = self._all_paths(*args, seed=seed)
             outcomes.add(
                 "error" if isinstance(outcome, str) else "counterexample"
             )

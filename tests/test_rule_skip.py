@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 
 from apply_oracle import oracle_ematch
+from egraph_snapshot import load_egraph, save_egraph
+from runner_oracle import op_index_rescan
 from test_extract_differential import fig4_style_options
 from test_property_egraph import terms
 
@@ -35,7 +37,6 @@ from repro.egraph.runner import (
     StopReason,
     run_saturation,
 )
-from repro.egraph.snapshot import load_egraph, save_egraph
 from repro.isa import fusion_g3_spec
 from repro.kernels.suite import suite_by_key
 from repro.lang.ops import CONST
@@ -315,7 +316,7 @@ def suite_skips():
         if copy["source"] is not self or copy["stamp"] != stamp:
             graph, _ = load_egraph(save_egraph(self))
             copy.update(source=self, stamp=stamp, graph=graph,
-                        index=graph.op_index_rescan())
+                        index=op_index_rescan(graph))
         matches = oracle_ematch(
             copy["graph"], lhs, op_index=copy["index"], limit=None,
             work_budget=1 << 60,

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-import pytest
+from cvec_oracle import cvec_of
 
 from repro.lang.parser import parse
-from repro.ruler.cvec import CvecSpec, cvec_of
+from repro.ruler.cvec import CvecSpec
 from repro.ruler.enumerate import enumerate_terms
 
 
@@ -107,7 +107,7 @@ class TestDeadlineMidSize:
     """The budget aborts *inside* a size, not just between sizes.
 
     A deterministic fake clock (one tick per deadline check) pins down
-    exactly where the abort lands, on both cvec backends.
+    exactly where the abort lands.
     """
 
     def _fake_clock(self, monkeypatch):
@@ -117,10 +117,7 @@ class TestDeadlineMidSize:
             lambda: float(next(ticks)),
         )
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["batched", "legacy"])
-    def test_aborts_during_atoms(self, spec, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
+    def test_aborts_during_atoms(self, spec, monkeypatch):
         grid = CvecSpec.make(("a", "b"), n_random=4, seed=0)
         self._fake_clock(monkeypatch)
         # Ticks 1 and 2 pass the deadline check; tick 3 aborts — on
@@ -130,10 +127,7 @@ class TestDeadlineMidSize:
         assert 0 < result.n_enumerated < 4  # a, b, 0, 1
         assert all(not t.args for t in result.representatives.values())
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["batched", "legacy"])
-    def test_aborts_mid_size(self, spec, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
+    def test_aborts_mid_size(self, spec, monkeypatch):
         grid = CvecSpec.make(("a", "b"), n_random=4, seed=0)
         full = enumerate_terms(spec, grid, max_size=2)
         self._fake_clock(monkeypatch)

@@ -78,18 +78,7 @@ class TestSynthesisPerf:
         assert perf.interned_fingerprints == result.n_representatives
         assert perf.cvec_cache_hits > 0
         assert perf.batched_evals > 0
-        assert perf.legacy_evals == 0
         assert set(perf.per_size_times) == {1, 2, 3}
-
-    def test_legacy_backend_counts_tree_walks(self, spec, monkeypatch):
-        monkeypatch.setenv("REPRO_LEGACY_CVEC", "1")
-        grid = CvecSpec.make(("a", "b"), n_random=8, seed=0)
-        result = enumerate_terms(spec, grid, max_size=2)
-        assert result.perf.backend == "legacy"
-        # One full per-env tree interpretation per fingerprinted term:
-        # all four atoms are cvec-distinct, so the counts line up.
-        assert result.perf.legacy_evals == result.n_enumerated
-        assert result.perf.batched_evals == 0
 
     def test_merge_sums_counters_and_sizes(self):
         a = SynthesisPerf(batched_evals=3, per_size_times={2: 1.0})
@@ -110,7 +99,6 @@ class TestSynthesisPerf:
         payload = perf.as_dict()
         assert payload["per_size_times"] == {"4": 0.25}
         assert payload["per_size_new"] == {"4": 9}
-        assert payload["backend"] == "batched"
         json.dumps(payload)
 
 

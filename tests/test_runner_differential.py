@@ -18,16 +18,14 @@ first appears mid-iteration and rules that never match.
 
 from __future__ import annotations
 
-import importlib
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
+from egraph_snapshot import load_egraph, save_egraph
 from runner_oracle import oracle_run_saturation
 from test_property_egraph import terms
 
-from repro.egraph import runner as runner_module
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import parse_rewrite
 from repro.egraph.runner import (
@@ -37,7 +35,6 @@ from repro.egraph.runner import (
     StopReason,
     run_saturation,
 )
-from repro.egraph.snapshot import load_egraph, save_egraph
 from repro.lang.parser import parse
 
 RULES = [
@@ -68,9 +65,6 @@ RULES = [
     parse_rewrite("never", "(VecMAC ?a ?b ?c) => (VecMAC ?a ?c ?b)"),
 ]
 BY_NAME = {rule.name: rule for rule in RULES}
-
-# The module, not the ``repro.egraph.ematch`` function it exports.
-ematch_module = importlib.import_module("repro.egraph.ematch")
 
 
 class BanOneScheduler(BackoffScheduler):
@@ -299,67 +293,3 @@ class TestRuleTable:
             rule for rule in ruleset.optimization
             if not is_wildcard(rule.lhs)
         ]
-
-
-class TestLegacyMatcherSwitch:
-    """``REPRO_LEGACY_EMATCH`` is read once per run, not per rule."""
-
-    @staticmethod
-    def counting_legacy(monkeypatch) -> list:
-        calls: list = []
-        legacy = ematch_module._legacy_groups
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return legacy(*args, **kwargs)
-
-        monkeypatch.setattr(ematch_module, "_legacy_groups", counting)
-        return calls
-
-    @staticmethod
-    def flipping_apply(monkeypatch, value: str | None) -> list:
-        """Count applications; flip the variable after the first."""
-        applications: list = []
-        product_apply = runner_module.apply_rewrite
-
-        def flipping(*args, **kwargs):
-            applications.append(1)
-            stats = product_apply(*args, **kwargs)
-            if value is None:
-                monkeypatch.delenv("REPRO_LEGACY_EMATCH", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_LEGACY_EMATCH", value)
-            return stats
-
-        monkeypatch.setattr(runner_module, "apply_rewrite", flipping)
-        return applications
-
-    def rules(self):
-        return [BY_NAME["comm-add"], BY_NAME["mul-mac"],
-                BY_NAME["mac-split"], BY_NAME["assoc-add"]]
-
-    def test_set_before_the_run_selects_legacy_for_the_whole_run(
-        self, monkeypatch,
-    ):
-        g = graph_of("(+ (* a b) (+ c d))")
-        expected = run_saturation(copy_of(g), self.rules(),
-                                  RunnerLimits(max_iterations=3))
-        legacy_calls = self.counting_legacy(monkeypatch)
-        monkeypatch.setenv("REPRO_LEGACY_EMATCH", "1")
-        applications = self.flipping_apply(monkeypatch, None)
-        report = run_saturation(copy_of(g), self.rules(),
-                                RunnerLimits(max_iterations=3))
-        assert len(applications) > 1
-        assert len(legacy_calls) == len(applications)
-        assert report.iterations == expected.iterations
-
-    def test_unset_before_the_run_selects_compiled_for_the_whole_run(
-        self, monkeypatch,
-    ):
-        g = graph_of("(+ (* a b) (+ c d))")
-        legacy_calls = self.counting_legacy(monkeypatch)
-        monkeypatch.delenv("REPRO_LEGACY_EMATCH", raising=False)
-        applications = self.flipping_apply(monkeypatch, "1")
-        run_saturation(g, self.rules(), RunnerLimits(max_iterations=3))
-        assert len(applications) > 1
-        assert legacy_calls == []

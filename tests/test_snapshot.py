@@ -1,4 +1,4 @@
-"""The e-graph byte container (repro.egraph.snapshot).
+"""The e-graph byte container (tests/egraph_snapshot.py).
 
 The contract under test: a restored e-graph is *state-identical* to
 the serialized one, so the differential tests that copy and
@@ -13,10 +13,7 @@ import json
 
 import pytest
 
-from repro.egraph.egraph import EGraph
-from repro.egraph.rewrite import parse_rewrite
-from repro.egraph.runner import RunnerLimits, run_saturation
-from repro.egraph.snapshot import (
+from egraph_snapshot import (
     MAGIC,
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -26,6 +23,10 @@ from repro.egraph.snapshot import (
     load_snapshot_meta,
     save_egraph,
 )
+
+from repro.egraph.egraph import EGraph
+from repro.egraph.rewrite import parse_rewrite
+from repro.egraph.runner import RunnerLimits, run_saturation
 from repro.lang.parser import parse
 
 _COMM = parse_rewrite("comm", "(+ ?a ?b) => (+ ?b ?a)")

@@ -217,10 +217,10 @@ class TestServiceRollup:
 def _synthesis_events():
     return [
         {"name": "synthesize", "id": 0, "ts": 1.0, "dur": 3.0,
-         "attrs": {"n_rules": 42, "cvec_backend": "batched"}},
+         "attrs": {"n_rules": 42}},
         {"name": "synthesize.enumerate", "id": 1, "parent": 0,
          "ts": 1.0, "dur": 1.5,
-         "attrs": {"cvec_backend": "batched", "shards": 4,
+         "attrs": {"shards": 4,
                    "size_times": {"1": 0.001, "2": 0.01, "3": 0.4},
                    "size_terms": {"1": 5, "2": 30, "3": 260},
                    "size_new": {"1": 5, "2": 10, "3": 58}}},
@@ -237,19 +237,19 @@ class TestSynthesisRollup:
     def test_per_size_table_and_counters(self):
         out = synthesis_rollup(_synthesis_events())
         lines = out.splitlines()
-        assert lines[0] == "cvec backend: batched (shards: 4)"
+        assert "enumeration shards: 4" in lines[-1]
         # One row per size, in numeric order, with terms and new counts.
         size3 = next(l for l in lines if l.lstrip().startswith("3"))
         assert "400.0ms" in size3 and "260" in size3 and "58" in size3
         assert lines.index(size3) > lines.index(
             next(l for l in lines if l.lstrip().startswith("2"))
         )
-        assert "verify sides: 160 batched, 2 legacy" in out
+        assert "verify sides: 160 batched, 2 per-environment fallback" in out
         assert "minimize screened: 3" in out
 
     def test_aggregates_across_runs(self):
         out = synthesis_rollup(_synthesis_events() + _synthesis_events())
-        assert "verify sides: 320 batched, 4 legacy" in out
+        assert "verify sides: 320 batched, 4 per-environment fallback" in out
         size3 = next(
             l for l in out.splitlines() if l.lstrip().startswith("3")
         )
@@ -273,7 +273,7 @@ class TestSynthesisRollup:
         )
         monkeypatch.delenv("REPRO_TRACE")
         out = synthesis_rollup(load_events(path))
-        assert "cvec backend: batched" in out
+        assert "enumeration shards:" in out
         assert "verify sides:" in out
         # Sizes 1 and 2 both enumerated something.
         assert any(l.lstrip().startswith("1 ") for l in out.splitlines())
