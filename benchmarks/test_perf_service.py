@@ -127,7 +127,7 @@ def test_perf_service(benchmark, tmp_path):
         samples: list = []
         t0 = time.monotonic()
         with BackgroundServer(
-            config=ServiceConfig(port=0, batch_window=0.02),
+            config=ServiceConfig(port=0),
             registry=registry,
         ) as server:
             barrier = threading.Barrier(_N_CLIENTS)

@@ -226,7 +226,7 @@ class AsyncCompileClient:
 
         await self.aclose()
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=protocol.MAX_MESSAGE_BYTES
         )
 
     async def aclose(self) -> None:

@@ -121,9 +121,10 @@ class RegistryEntry:
 class ArtifactRegistry:
     """Artifacts and the compiled-result cache for one root.
 
-    Stateless on disk, memoizing in memory: resolved
-    ``GeneratedCompiler`` instances are kept per artifact fingerprint
-    so repeated requests for the same ISA skip even the JSON parse.
+    Stateless on disk, memoizing in memory: resolved entries are kept
+    per semantics hash and each ISA name's hash is kept too, so
+    repeated requests for the same ISA skip both the JSON parse and
+    the lane-function probe.
     """
 
     def __init__(
@@ -140,6 +141,11 @@ class ArtifactRegistry:
             self.specs.update(specs)
         self._compilers: dict = {}
         self._spec_cache: dict = {}
+        # ISA name -> semantics hash, taken when the name first
+        # resolves.  spec_for hands out one spec object per name, so
+        # the hash cannot change; re-probing every lane function on
+        # each request would only repeat it.
+        self._memo_keys: dict = {}
         # One lock per semantics hash serializes that ISA's slow
         # resolution path (artifact scan or bootstrap); _locks_guard
         # protects the lock table itself.
@@ -224,6 +230,17 @@ class ArtifactRegistry:
                 best = artifact
         return best
 
+    def resolved(self, isa: str) -> "RegistryEntry | None":
+        """The memoized entry for an ISA name, or ``None`` before the
+        name has resolved.
+
+        Two dict lookups: no lock, no disk, no lane-function probe, so
+        the serve loop calls it on its own thread and leaves only first
+        resolutions to :meth:`entry_for`.
+        """
+        memo_key = self._memo_keys.get(isa)
+        return None if memo_key is None else self._compilers.get(memo_key)
+
     def entry_for(self, isa: str) -> RegistryEntry:
         """The warm :class:`RegistryEntry` for an ISA name.
 
@@ -236,10 +253,13 @@ class ArtifactRegistry:
         immediately published so the next process finds it as an
         artifact.  No path runs rule synthesis.  Concurrent callers
         for one ISA wait for a single resolution and share its entry;
-        the memo hit takes no lock.
+        the memo hit takes no lock.  A name's semantics hash is taken
+        once, on its first call.
         """
         spec = self.spec_for(isa)
-        memo_key = spec_semantics_hash(spec)
+        memo_key = self._memo_keys.get(isa)
+        if memo_key is None:
+            memo_key = self._memo_keys[isa] = spec_semantics_hash(spec)
         entry = self._compilers.get(memo_key)
         if entry is not None:
             return entry

@@ -16,12 +16,19 @@ Request handling is three-tiered, cheapest first:
    compile: the first creates a future keyed by the result key,
    later arrivals await the same future;
 3. **batched compile** — cache misses queue up; a batcher task
-   collects waiting jobs for a short window, groups them by
-   (compiler, options), and compiles each kernel of a group through
+   takes the first job plus every job already waiting (it never
+   waits for more), groups them by (compiler, options), and compiles
+   each kernel of a group through
    :func:`~repro.compiler.pipeline.compile_many` (one kernel per
    worker process when ``workers`` > 1).  Each kernel's outcome is
    its result or its own error, so one bad request never poisons its
    batchmates and no kernel compiles twice.
+
+A warm request stays on the loop thread: the resolved ISA is a
+memo lookup and the result file is read and written in place.  Only
+an ISA's first resolution (which may bootstrap it) and the compiles
+themselves run on worker threads, because a thread hop waits for the
+interpreter lock whenever a compile thread holds it.
 
 Every request and batch is tracer-recorded (``service.request``,
 ``service.batch``) so ``trace_report`` can roll up queue wait, batch
@@ -78,11 +85,13 @@ def _env_float(name: str, default: float) -> float:
 
 
 class ServiceConfig:
-    """Tunable knobs of one server process.
+    """Settings of one server process.
 
     Defaults come from the environment (``REPRO_SERVICE_PORT``,
     ``REPRO_SERVICE_WORKERS``, ``REPRO_SERVICE_TIMEOUT`` — see
-    ``docs/env_flags.md``); constructor arguments override.
+    ``docs/env_flags.md``); constructor arguments override.  Batching
+    has no setting: a batch is whatever waited while the previous one
+    compiled, so a request never waits for work that has not arrived.
     """
 
     def __init__(
@@ -90,14 +99,12 @@ class ServiceConfig:
         host: str = "127.0.0.1",
         port: "int | None" = None,
         workers: "int | None" = None,
-        batch_window: float = 0.02,
-        max_batch: int = 16,
         request_timeout: "float | None" = None,
     ):
         """``port`` 0 asks the OS for a free port (tests);
         ``workers`` ≤ 1 compiles batches serially in the server
-        process; ``batch_window`` is how long the batcher waits to
-        coalesce more jobs after the first (seconds)."""
+        process; ``request_timeout`` is how long a compile request
+        waits for its answer (seconds)."""
         self.host = host
         self.port = (
             port
@@ -109,8 +116,6 @@ class ServiceConfig:
             if workers is not None
             else _env_int("REPRO_SERVICE_WORKERS", 1)
         )
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.request_timeout = (
             request_timeout
             if request_timeout is not None
@@ -223,7 +228,10 @@ class CompileService:
         its response, then connections close and the loop returns.
         """
         server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+            self._handle_conn,
+            self.config.host,
+            self.config.port,
+            limit=protocol.MAX_MESSAGE_BYTES,
         )
         self.port = server.sockets[0].getsockname()[1]
         batcher = asyncio.create_task(self._batcher())
@@ -259,7 +267,12 @@ class CompileService:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
-                if not line:
+                except ValueError:
+                    # Past the stream limit.  The rest of the line may
+                    # still be arriving, so framing is lost: answer,
+                    # then close.
+                    line = None
+                if line == b"":
                     break
                 self._active += 1
                 self._idle.clear()
@@ -273,15 +286,23 @@ class CompileService:
                     self._active -= 1
                     if self._active == 0:
                         self._idle.set()
+                if line is None:
+                    break
         finally:
             self._writers.discard(writer)
             writer.close()
 
-    async def _handle_line(self, line: bytes) -> dict:
+    async def _handle_line(self, line: "bytes | None") -> dict:
+        """Answer one wire line; ``None`` is a line past the limit."""
         self.requests += 1
         try:
+            if line is None:
+                raise protocol.ProtocolError(
+                    f"message exceeds {protocol.MAX_MESSAGE_BYTES} bytes"
+                )
             message = protocol.decode_message(line)
         except protocol.ProtocolError as exc:
+            self.errors += 1
             return self._error("protocol", str(exc))
         op = message.get("op")
         request_id = message.get("id")
@@ -334,7 +355,9 @@ class CompileService:
             raise protocol.ProtocolError("compile request needs a kernel")
         program = protocol.kernel_from_wire(message["kernel"])
         isa = str(message.get("isa", "fusion-g3"))
-        entry = await asyncio.to_thread(self.registry.entry_for, isa)
+        entry = self.registry.resolved(isa)
+        if entry is None:  # first request: may bootstrap for seconds
+            entry = await asyncio.to_thread(self.registry.entry_for, isa)
         explicit = message.get("options")
         options = (
             protocol.options_from_wire(explicit)
@@ -346,7 +369,7 @@ class CompileService:
         spec_hash = kernel_spec_hash(program)
         key = protocol.result_key(entry.fingerprint, spec_hash, opts_digest)
 
-        cached = await asyncio.to_thread(self.registry.load_result, key)
+        cached = self.registry.load_result(key)
         if cached is not None:
             self.cache_hits += 1
             current_tracer().record(
@@ -408,21 +431,12 @@ class CompileService:
     # -- the batcher -----------------------------------------------------
 
     async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            job = await self._queue.get()
-            batch = [job]
-            deadline = loop.time() + self.config.batch_window
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            # The first job plus every job already waiting; never wait
+            # for more.
+            batch = [await self._queue.get()]
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             now = time.perf_counter()
             for j in batch:
                 j.dequeued = now
@@ -445,11 +459,19 @@ class CompileService:
         programs = [j.program for j in group]
         t0 = time.perf_counter()
         jobs = self.config.workers if len(group) > 1 else 1
-        outcomes = await asyncio.to_thread(
-            _compile_each, entry.compiler, programs, options, jobs
-        )
-        for j, outcome in zip(group, outcomes):
-            await self._settle(j, outcome)
+        try:
+            outcomes = await asyncio.to_thread(
+                _compile_each, entry.compiler, programs, options, jobs
+            )
+            for j, outcome in zip(group, outcomes):
+                self._settle(j, outcome)
+        except Exception as exc:
+            # A fault outside the kernels' own compiles: every request
+            # still waiting gets it as an internal error, and the
+            # batcher lives on to serve the next batch.
+            for j in group:
+                if not j.future.done():
+                    self._settle(j, exc)
         current_tracer().record(
             "service.batch",
             time.perf_counter() - t0,
@@ -457,7 +479,7 @@ class CompileService:
             isa=entry.isa,
         )
 
-    async def _settle(self, job: "_Job", outcome) -> None:
+    def _settle(self, job: "_Job", outcome) -> None:
         """Answer ``job`` with its compiled kernel (stored in the result
         cache first) or the exception its compile raised."""
         if isinstance(outcome, Exception):
@@ -466,7 +488,15 @@ class CompileService:
                 job.future.set_exception(outcome)
             return
         payload = protocol.compiled_to_wire(outcome, job.spec_hash)
-        await asyncio.to_thread(self.registry.store_result, job.key, payload)
+        try:
+            self.registry.store_result(job.key, payload)
+        except OSError as exc:
+            # The answer stands without its cache entry; a repeat
+            # request compiles again.
+            current_tracer().record(
+                "registry.store_failed", 0.0,
+                key=job.key, error=f"{type(exc).__name__}: {exc}",
+            )
         self.compiled += 1
         self._inflight.pop(job.key, None)
         if not job.future.done():

@@ -3,11 +3,14 @@
 Serve-loop tests drive a real :class:`CompileService` on a private
 event loop with the real registry, compiler, and pipeline — no mocks
 — using tiny traced kernels and tight saturation limits so each live
-compile stays well under a second.
+compile stays well under a second.  A test that needs a compile in
+flight holds it on a gate (:class:`_Gate`), not on a timing window.
 """
 
 import asyncio
+import errno
 import json
+import shutil
 import socket
 import threading
 import time
@@ -30,6 +33,8 @@ from repro.service import (
     ServiceError,
     protocol,
 )
+from repro.service import registry as registry_module
+from repro.service import server as server_module
 from repro.service.registry import RegistryEntry
 from repro.service.server import CompileService, ServiceConfig
 
@@ -64,6 +69,13 @@ def _vmul(name: str = "vmul4"):
     )
 
 
+def _vsub(name: str = "vsub4"):
+    return trace_kernel(
+        name, lambda a, b: [a[i] - b[i] for i in range(4)],
+        {"a": 4, "b": 4}, width=4,
+    )
+
+
 #: A wire kernel that fails inside the pipeline (unknown symbols), so
 #: batch-isolation paths get a deterministic KernelCompileError.
 _BAD_WIRE = {
@@ -93,31 +105,81 @@ class _LoggedCompile:
         )
 
 
-def _ok_bad_ok_batch(registry, workers: int):
-    """Serve [ok-a, bad, ok-b] as one batch; returns the three
-    outcomes (a response or the raised error) and the service."""
+class _Gate:
+    """Holds the server's first compile until :meth:`release`.
+
+    Wraps ``repro.service.server._compile_each``, the batcher's
+    worker-thread call, so that its first call blocks on an event.
+    The wrapper runs in the server process and is never pickled, so a
+    ``workers=2`` batch still fans out.
+    """
+
+    def __init__(self, monkeypatch):
+        self._entered = threading.Event()
+        self._released = threading.Event()
+        self._calls = 0
+        real = server_module._compile_each
+
+        def gated(*args, **kwargs):
+            self._calls += 1
+            if self._calls == 1:
+                self._entered.set()
+                if not self._released.wait(timeout=30):
+                    raise TimeoutError("gate never released")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "_compile_each", gated)
+
+    async def held(self) -> None:
+        """Return once the first compile has started and is held."""
+        assert await asyncio.to_thread(self._entered.wait, 30)
+
+    def release(self) -> None:
+        """Let the held compile run."""
+        self._released.set()
+
+
+async def _until(predicate, timeout: float = 30.0) -> None:
+    """Poll serve-loop state (same event loop) until ``predicate()``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "serve loop never got there"
+        await asyncio.sleep(0.001)
+
+
+def _ok_bad_ok_batch(registry, workers: int, monkeypatch):
+    """Serve [ok-a, bad, ok-b] as one batch, queued behind a held
+    compile of ``hold``; returns the three outcomes (a response or the
+    raised error) and the service."""
     options = _quick_options()
+    gate = _Gate(monkeypatch)
 
     async def body(service, client):
         async with AsyncCompileClient(port=service.port) as second, \
-                AsyncCompileClient(port=service.port) as third:
+                AsyncCompileClient(port=service.port) as third, \
+                AsyncCompileClient(port=service.port) as fourth:
+            held = asyncio.create_task(
+                client.compile(_vsub("hold"), options=options)
+            )
+            await gate.held()
             first_ok = asyncio.create_task(
-                client.compile(_vadd("ok-a"), options=options)
+                second.compile(_vadd("ok-a"), options=options)
             )
             bad = asyncio.create_task(
-                second.request(_compile_msg(_BAD_WIRE, options))
+                third.request(_compile_msg(_BAD_WIRE, options))
             )
             second_ok = asyncio.create_task(
-                third.compile(_vmul("ok-b"), options=options)
+                fourth.compile(_vmul("ok-b"), options=options)
             )
+            await _until(lambda: service._queue.qsize() == 3)
+            gate.release()
+            assert (await held)["ok"]
             results = await asyncio.gather(
                 first_ok, bad, second_ok, return_exceptions=True
             )
         return results, service
 
-    return _run_with_service(
-        registry, body, batch_window=0.5, workers=workers
-    )
+    return _run_with_service(registry, body, workers=workers)
 
 
 @pytest.fixture
@@ -128,7 +190,6 @@ def registry(tmp_path):
 def _run_with_service(registry, body, **config):
     """Run ``await body(service, client)`` against a live server."""
     config.setdefault("port", 0)
-    config.setdefault("batch_window", 0.05)
 
     async def main():
         service = CompileService(
@@ -294,29 +355,27 @@ class TestServeLoop:
         )
         assert response["result"] == expected
 
-    def test_concurrent_identical_requests_compile_once(self, registry):
+    def test_concurrent_identical_requests_compile_once(
+        self, registry, monkeypatch
+    ):
         kernel = _vadd()
         options = _quick_options()
-        # Resolve the ISA first: requests that arrive while it
-        # bootstraps wait for that one bootstrap and resume together,
-        # so only a warm registry gives the first request its head
-        # start.
-        registry.entry_for("fusion-g3")
+        gate = _Gate(monkeypatch)
 
         async def body(service, client):
             async with AsyncCompileClient(port=service.port) as second:
                 task_a = asyncio.create_task(
                     client.compile(kernel, options=options)
                 )
-                await asyncio.sleep(0.05)  # a registers in-flight first
+                await gate.held()  # a is compiling
                 task_b = asyncio.create_task(
                     second.compile(kernel, options=options)
                 )
+                await _until(lambda: service.dedup_hits == 1)
+                gate.release()
                 return await asyncio.gather(task_a, task_b), service
 
-        (first, second_), service = _run_with_service(
-            registry, body, batch_window=0.3
-        )
+        (first, second_), service = _run_with_service(registry, body)
         assert service.compiled == 1
         assert service.dedup_hits == 1
         assert first["result"] == second_["result"]
@@ -341,42 +400,96 @@ class TestServeLoop:
         assert service.compiled == 0  # nothing reached the batcher
         assert service.batches == 0
 
-    def test_waiting_requests_batch_together(self, registry):
-        kernels = [_vadd(), _vmul()]
+    def test_waiting_requests_batch_together(self, registry, monkeypatch):
         options = _quick_options()
+        gate = _Gate(monkeypatch)
 
         async def body(service, client):
-            async with AsyncCompileClient(port=service.port) as second:
-                responses = await asyncio.gather(
-                    client.compile(kernels[0], options=options),
-                    second.compile(kernels[1], options=options),
+            async with AsyncCompileClient(port=service.port) as second, \
+                    AsyncCompileClient(port=service.port) as third:
+                held = asyncio.create_task(
+                    client.compile(_vsub(), options=options)
                 )
+                await gate.held()
+                waiting = [
+                    asyncio.create_task(
+                        second.compile(_vadd(), options=options)
+                    ),
+                    asyncio.create_task(
+                        third.compile(_vmul(), options=options)
+                    ),
+                ]
+                await _until(lambda: service._queue.qsize() == 2)
+                gate.release()
+                responses = await asyncio.gather(held, *waiting)
             return responses, service
 
-        responses, service = _run_with_service(
-            registry, body, batch_window=0.5
-        )
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            responses, service = _run_with_service(registry, body)
         assert all(r["ok"] for r in responses)
-        assert service.compiled == 2
-        assert service.batches == 1  # one window swallowed both
+        assert service.compiled == 3
+        # The held job, then both jobs that waited behind it.
+        assert service.batches == 2
+        assert [
+            e["attrs"]["n_kernels"] for e in sink.by_name("service.batch")
+        ] == [1, 2]
 
-    def test_failing_kernel_is_isolated_from_its_batchmates(self, registry):
+    def test_request_to_an_idle_batcher_compiles_at_once(
+        self, registry, monkeypatch
+    ):
         options = _quick_options()
+        gate = _Gate(monkeypatch)
 
         async def body(service, client):
+            first = asyncio.create_task(
+                client.compile(_vadd(), options=options)
+            )
+            await gate.held()  # compiling; no second request was sent
+            assert service.compile_requests == 1
             async with AsyncCompileClient(port=service.port) as second:
-                good_task = asyncio.create_task(
-                    client.compile(_vadd(), options=options)
+                later = asyncio.create_task(
+                    second.compile(_vmul(), options=options)
                 )
-                bad = second.request(_compile_msg(_BAD_WIRE, options))
+                await _until(lambda: service._queue.qsize() == 1)
+                gate.release()
+                return await first, await later, service
+
+        first, later, service = _run_with_service(registry, body)
+        assert first["ok"] and later["ok"]
+        assert service.batches == 2
+
+    def test_failing_kernel_is_isolated_from_its_batchmates(
+        self, registry, monkeypatch
+    ):
+        options = _quick_options()
+        gate = _Gate(monkeypatch)
+
+        async def body(service, client):
+            async with AsyncCompileClient(port=service.port) as second, \
+                    AsyncCompileClient(port=service.port) as third:
+                held = asyncio.create_task(
+                    client.compile(_vsub(), options=options)
+                )
+                await gate.held()
+                good_task = asyncio.create_task(
+                    second.compile(_vadd(), options=options)
+                )
+                bad = asyncio.create_task(
+                    third.request(_compile_msg(_BAD_WIRE, options))
+                )
+                await _until(lambda: service._queue.qsize() == 2)
+                gate.release()
+                await held
                 bad_exc = None
                 try:
                     await bad
                 except ServiceError as exc:
                     bad_exc = exc
-                return await good_task, bad_exc
+                return await good_task, bad_exc, service
 
-        good, bad_exc = _run_with_service(registry, body, batch_window=0.5)
+        good, bad_exc, service = _run_with_service(registry, body)
+        assert service.batches == 2  # good and bad shared the second
         assert good["ok"] and good["result"]["kernel"] == "vadd4"
         assert bad_exc is not None and bad_exc.kind == "compile"
         assert "bad" in bad_exc.message
@@ -396,13 +509,15 @@ class TestServeLoop:
             return compile_kernel(kernel, *args, **kwargs)
 
         monkeypatch.setattr(compiler, "compile_kernel", counting)
-        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(registry, workers=1)
-        assert service.batches == 1
-        assert sorted(calls) == ["bad", "ok-a", "ok-b"]
+        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(
+            registry, 1, monkeypatch
+        )
+        assert service.batches == 2  # hold, then [ok-a, bad, ok-b]
+        assert sorted(calls) == ["bad", "hold", "ok-a", "ok-b"]
         assert ok_a["ok"] and ok_a["result"]["kernel"] == "ok-a"
         assert ok_b["ok"] and ok_b["result"]["kernel"] == "ok-b"
         assert isinstance(bad, ServiceError) and bad.kind == "compile"
-        assert service.compiled == 2
+        assert service.compiled == 3
 
     def test_fan_out_batch_compiles_each_kernel_once(
         self, registry, monkeypatch, tmp_path
@@ -416,33 +531,43 @@ class TestServeLoop:
             compiler, "compile_kernel", _LoggedCompile(compiler, log)
         )
         monkeypatch.setenv("REPRO_PARALLEL", "2")
-        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(registry, workers=2)
-        assert service.batches == 1
-        assert sorted(log.read_text().split()) == ["bad", "ok-a", "ok-b"]
+        (ok_a, bad, ok_b), service = _ok_bad_ok_batch(
+            registry, 2, monkeypatch
+        )
+        assert service.batches == 2  # hold, then [ok-a, bad, ok-b]
+        assert sorted(log.read_text().split()) == [
+            "bad", "hold", "ok-a", "ok-b"
+        ]
         assert ok_a["ok"] and ok_a["result"]["kernel"] == "ok-a"
         assert ok_b["ok"] and ok_b["result"]["kernel"] == "ok-b"
         assert isinstance(bad, ServiceError) and bad.kind == "compile"
-        assert service.compiled == 2
+        assert service.compiled == 3
 
-    def test_graceful_shutdown_drains_pending_compiles(self, registry):
-        kernel = _vadd()
+    def test_graceful_shutdown_drains_pending_compiles(
+        self, registry, monkeypatch
+    ):
         options = _quick_options()
+        gate = _Gate(monkeypatch)
 
         async def body(service, client):
-            async with AsyncCompileClient(port=service.port) as second:
-                compile_task = asyncio.create_task(
-                    client.compile(kernel, options=options)
+            async with AsyncCompileClient(port=service.port) as second, \
+                    AsyncCompileClient(port=service.port) as third:
+                compiling = asyncio.create_task(
+                    client.compile(_vadd(), options=options)
                 )
-                await asyncio.sleep(0.05)  # let it enqueue
-                shutdown = await second.request({"op": "shutdown"})
-                response = await compile_task
-            return shutdown, response
+                await gate.held()
+                queued = asyncio.create_task(
+                    second.compile(_vmul(), options=options)
+                )
+                await _until(lambda: service._queue.qsize() == 1)
+                shutdown = await third.request({"op": "shutdown"})
+                gate.release()
+                return shutdown, await compiling, await queued
 
-        shutdown, response = _run_with_service(
-            registry, body, batch_window=0.3
-        )
-        assert shutdown["ok"]
-        assert response["ok"] and response["result"]["kernel"] == "vadd4"
+        shutdown, compiled, queued = _run_with_service(registry, body)
+        assert shutdown["ok"] and shutdown["pending"] == 2
+        assert compiled["ok"] and compiled["result"]["kernel"] == "vadd4"
+        assert queued["ok"] and queued["result"]["kernel"] == "vmul4"
 
     def test_malformed_line_answers_error_and_connection_survives(
         self, registry
@@ -453,11 +578,12 @@ class TestServeLoop:
             line = await client._reader.readline()
             error = protocol.decode_message(line)
             ping = await client.ping()
-            return error, ping
+            return error, ping, service
 
-        error, ping = _run_with_service(registry, body)
+        error, ping, service = _run_with_service(registry, body)
         assert error["ok"] is False
         assert error["error"]["kind"] == "protocol"
+        assert service.errors == 1  # counted like any error answer
         assert ping["ok"]
 
     def test_unknown_isa_is_a_registry_error_response(self, registry):
@@ -522,6 +648,170 @@ class TestServeLoop:
         assert second["result"] == first["result"]
         corrupt = [e for e in sink.events if e["name"] == "registry.corrupt"]
         assert len(corrupt) >= 2  # the result entry and the junk artifact
+
+
+class TestRequestPath:
+    """What a request waits for: a warm ISA is a memo lookup, a hit
+    stays on the loop thread, and results live on disk only."""
+
+    def test_resolved_isa_is_never_hashed_again(self, registry, monkeypatch):
+        real = registry_module.spec_semantics_hash
+        calls = []
+
+        def counting(spec):
+            calls.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(registry_module, "spec_semantics_hash", counting)
+        options = _quick_options()
+
+        async def body(service, client):
+            await client.compile(_vadd(), options=options)
+            after_first = len(calls)
+            await client.compile(_vadd(), options=options)  # a hit
+            await client.compile(_vmul(), options=options)  # a compile
+            return after_first
+
+        after_first = _run_with_service(registry, body)
+        assert after_first >= 1
+        assert len(calls) == after_first
+
+    def test_cache_hit_makes_no_thread_hop(self, registry, monkeypatch):
+        kernel = _vadd()
+        options = _quick_options()
+        real = asyncio.to_thread
+        hops = []
+
+        async def counting(func, *args, **kwargs):
+            hops.append(func)
+            return await real(func, *args, **kwargs)
+
+        async def body(service, client):
+            await client.compile(kernel, options=options)  # resolves
+            monkeypatch.setattr(asyncio, "to_thread", counting)
+            return await client.compile(kernel, options=options)
+
+        response = _run_with_service(registry, body)
+        assert response["cached"] is True
+        assert hops == []
+
+    def test_emptied_results_dir_compiles_again(self, registry):
+        kernel = _vadd()
+        options = _quick_options()
+
+        async def body(service, client):
+            first = await client.compile(kernel, options=options)
+            shutil.rmtree(registry.results_dir)
+            again = await client.compile(kernel, options=options)
+            return first, again, service
+
+        first, again, service = _run_with_service(registry, body)
+        assert first["cached"] is False and again["cached"] is False
+        assert service.compiled == 2
+        assert again["result"] == first["result"]
+
+
+class TestServeLoopFaults:
+    def test_failed_result_write_still_answers(self, registry, monkeypatch):
+        def disk_full(key, payload):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(registry, "store_result", disk_full)
+        kernel = _vadd()
+        options = _quick_options()
+
+        async def body(service, client):
+            first = await client.compile(kernel, options=options)
+            second = await client.compile(_vmul(), options=options)
+            stats = (await client.request({"op": "stats"}))["stats"]
+            return first, second, stats
+
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            first, second, stats = _run_with_service(registry, body)
+        direct = compile_many(
+            registry.compiler_for("fusion-g3"), [kernel], options
+        )[0]
+        assert first["cached"] is False
+        assert first["result"] == protocol.compiled_to_wire(
+            direct, kernel_spec_hash(kernel)
+        )
+        assert second["ok"] and second["result"]["kernel"] == "vmul4"
+        assert stats["batches"] == 2 and stats["compiled"] == 2
+        assert stats["queue_depth"] == 0 and stats["inflight"] == 0
+        failed = sink.by_name("registry.store_failed")
+        assert len(failed) == 2
+        assert "No space left on device" in failed[0]["attrs"]["error"]
+
+    def test_group_fault_is_an_internal_error_and_batcher_survives(
+        self, registry, monkeypatch
+    ):
+        real = server_module._compile_each
+        calls = []
+
+        def broken_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("compile pool broke")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "_compile_each", broken_once)
+        options = _quick_options()
+
+        async def body(service, client):
+            with pytest.raises(ServiceError) as failed:
+                await client.compile(_vadd(), options=options)
+            again = await client.compile(_vadd(), options=options)
+            return failed.value, again, service
+
+        error, again, service = _run_with_service(registry, body)
+        assert error.kind == "internal"
+        assert "compile pool broke" in error.message
+        assert again["ok"] and again["cached"] is False
+        assert service.batches == 2 and service.compiled == 1
+        assert service._inflight == {}
+
+    def test_lines_past_64_kib_round_trip_on_both_clients(self, registry):
+        # The echoed id makes the response as long as the request.
+        pad = "x" * (100 * 1024)
+
+        def sync_ping(port):
+            with CompileClient(port=port, retries=0) as client:
+                return client.request({"op": "ping", "id": pad})
+
+        async def body(service, client):
+            async_reply = await client.request({"op": "ping", "id": pad})
+            sync_reply = await asyncio.to_thread(sync_ping, service.port)
+            return async_reply, sync_reply
+
+        for reply in _run_with_service(registry, body):
+            assert reply["ok"] and reply["id"] == pad
+
+    def test_line_past_the_message_limit_is_a_protocol_error(
+        self, registry
+    ):
+        async def body(service, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(b"x" * (protocol.MAX_MESSAGE_BYTES + 1) + b"\n")
+            await writer.drain()
+            line = await reader.readline()
+            try:
+                rest = await reader.read()
+            except ConnectionResetError:  # closed with input unread
+                rest = b""
+            writer.close()
+            ping = await client.ping()
+            return protocol.decode_message(line), rest, ping, service
+
+        error, rest, ping, service = _run_with_service(registry, body)
+        assert error["ok"] is False
+        assert error["error"]["kind"] == "protocol"
+        assert "exceeds" in error["error"]["message"]
+        assert service.errors == 1
+        assert rest == b""  # then that connection closes
+        assert ping["ok"]  # and the server serves the others
 
 
 class TestServiceTracing:
@@ -645,8 +935,7 @@ class TestBackgroundServerAndCli:
         kernel = _vadd()
         options = _quick_options()
         with BackgroundServer(
-            config=ServiceConfig(port=0, batch_window=0.05),
-            registry=registry,
+            config=ServiceConfig(port=0), registry=registry
         ) as server:
             with CompileClient(port=server.port) as client:
                 cold = client.compile(kernel, options=options)
@@ -657,8 +946,7 @@ class TestBackgroundServerAndCli:
 
     def test_client_cli_quickstart_flow(self, registry, capsys):
         with BackgroundServer(
-            config=ServiceConfig(port=0, batch_window=0.05),
-            registry=registry,
+            config=ServiceConfig(port=0), registry=registry
         ) as server:
             from repro.service.client import main as client_main
 
