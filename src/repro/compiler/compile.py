@@ -30,7 +30,7 @@ from repro.egraph.runner import (
     SaturationPerf,
 )
 from repro.lang.term import Term
-from repro.obs import current_tracer
+from repro.obs import current_tracer, merge_counters
 from repro.phases.cost import CostModel
 from repro.phases.ruleset import PhasedRuleSet
 
@@ -160,12 +160,10 @@ class CompileReport:
     def saturation_perf(self) -> SaturationPerf:
         """Hot-path counters aggregated over every ``EqSat`` call."""
         total = SaturationPerf()
-        for round_report in self.rounds:
-            for sat in (round_report.expansion, round_report.compilation):
-                if sat is not None:
-                    total.absorb(sat.perf)
-        if self.optimization is not None:
-            total.absorb(self.optimization.perf)
+        sats = [s for r in self.rounds for s in (r.expansion, r.compilation)]
+        for sat in sats + [self.optimization]:
+            if sat is not None:
+                merge_counters(total, sat.perf)
         return total
 
     @property
@@ -179,8 +177,9 @@ class CompileReport:
         """Per-pass elapsed seconds, in pipeline order.
 
         Skipped passes appear with their (near-zero) timing so the
-        keys are stable across ablation options; consumed by
-        ``repro.tools.trace_report`` alongside the span-level view.
+        keys are stable across ablation options.  The span-level view
+        is the ``pass.<name>`` rows of ``repro.tools.trace_report``'s
+        per-phase rollup, with ``status`` tallied ``ok`` / ``skipped``.
         """
         return {p.name: p.elapsed for p in self.passes}
 

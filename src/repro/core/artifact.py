@@ -413,11 +413,8 @@ class CompilerArtifact:
             raise ArtifactError(f"malformed artifact: {exc}")
 
     def save(self, path: Path | str) -> Path:
-        """Write the artifact to ``path`` (parents created)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        """Write the artifact to ``path`` (atomic; parents created)."""
+        return write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: Path | str) -> "CompilerArtifact":
@@ -524,6 +521,37 @@ def corrupt_entry_miss(layer: str, path, error) -> None:
     current_tracer().record(
         f"{layer}.corrupt", 0.0, path=str(path), error=str(error)
     )
+
+
+_tmp_counter = itertools.count()
+
+
+def _tmp_suffix() -> str:
+    """A per-call-unique temp suffix: with the pid alone, two threads
+    writing one path would share a temp file, and the loser's
+    ``os.replace`` would raise ``FileNotFoundError``."""
+    return ".tmp-%d-%d" % (os.getpid(), next(_tmp_counter))
+
+
+def write_atomic(path: Path | str, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    The one writer of every on-disk entry (artifacts, the artifact
+    cache, the service registry's artifacts and results): a reader
+    sees the old file or the new one, never a torn one, even when the
+    writer crashes or another writes the same path at once.  Parents
+    are created; returns ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(_tmp_suffix())
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def default_cache_dir() -> Path:

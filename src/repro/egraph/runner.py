@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -93,7 +93,9 @@ class SaturationPerf:
     matches (instantiate and union) and rebuilding.  Per-rule
     breakdowns identify which rewrites dominate the match bill.
     ``n_unmatchable`` counts the applications skipped unscanned
-    because the LHS needs an op or leaf the e-graph lacks.
+    because the LHS needs an op or leaf the e-graph lacks.  Runs add up
+    through :func:`repro.obs.merge_counters`; ``dataclasses.asdict``
+    is the JSON form the ``eqsat`` span carries.
     """
 
     node_visits: int = 0
@@ -109,41 +111,6 @@ class SaturationPerf:
     # that *do* something from pure fail-late scanners (the trace
     # report's zero-merge rules).
     rule_unions: dict = field(default_factory=dict)
-
-    def absorb(self, other: "SaturationPerf") -> None:
-        """Accumulate ``other`` into this (for cross-run aggregation)."""
-        self.node_visits += other.node_visits
-        self.n_matches += other.n_matches
-        self.n_unmatchable += other.n_unmatchable
-        self.match_time += other.match_time
-        self.index_time += other.index_time
-        self.apply_time += other.apply_time
-        self.rebuild_time += other.rebuild_time
-        for name, t in other.rule_match_time.items():
-            self.rule_match_time[name] = (
-                self.rule_match_time.get(name, 0.0) + t
-            )
-        for name, n in other.rule_node_visits.items():
-            self.rule_node_visits[name] = (
-                self.rule_node_visits.get(name, 0) + n
-            )
-        for name, n in other.rule_unions.items():
-            self.rule_unions[name] = self.rule_unions.get(name, 0) + n
-
-    def as_dict(self) -> dict:
-        """JSON-ready form (for ``BENCH_*.json`` files)."""
-        return {
-            "node_visits": self.node_visits,
-            "n_matches": self.n_matches,
-            "n_unmatchable": self.n_unmatchable,
-            "match_time": self.match_time,
-            "index_time": self.index_time,
-            "apply_time": self.apply_time,
-            "rebuild_time": self.rebuild_time,
-            "rule_match_time": dict(self.rule_match_time),
-            "rule_node_visits": dict(self.rule_node_visits),
-            "rule_unions": dict(self.rule_unions),
-        }
 
 
 @dataclass
@@ -336,16 +303,18 @@ def run_saturation(
         report = _run_saturation(egraph, table, limits, scheduler,
                                  frontier, tracer)
         if sat_span.enabled:
-            perf = report.perf.as_dict()
-            for key in ("rule_match_time", "rule_node_visits",
-                        "rule_unions"):
-                perf[key] = _nonzero(perf[key])
+            # Filter before asdict, which deep-copies every map entry.
+            perf = replace(report.perf, **{
+                key: _nonzero(getattr(report.perf, key))
+                for key in ("rule_match_time", "rule_node_visits",
+                            "rule_unions")
+            })
             sat_span.add(
                 stop_reason=report.stop_reason.value,
                 iterations=report.n_iterations,
                 n_nodes=egraph.n_nodes,
                 n_classes=egraph.n_classes,
-                **perf,
+                **asdict(perf),
             )
     return report
 

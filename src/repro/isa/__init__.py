@@ -22,7 +22,6 @@ from repro.isa.families import (
     BUNDLED_FAMILIES,
     IsaFamily,
     bundled_spec_factories,
-    family_of,
     isa_family,
     spec_by_name,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "avx_like_spec",
     "masked_spec",
     "bundled_spec_factories",
-    "family_of",
     "isa_family",
     "spec_by_name",
     "make_mulsub_instructions",

@@ -18,7 +18,6 @@ historical default width 4, which keeps the bare name ``fusion-g3``
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,8 +93,6 @@ BUNDLED_FAMILIES: tuple[IsaFamily, ...] = (
 
 _BY_NAME = {family.name: family for family in BUNDLED_FAMILIES}
 
-_SPEC_NAME = re.compile(r"^(?P<family>.+?)-w(?P<width>\d+)$")
-
 
 def isa_family(name: str) -> IsaFamily:
     """The bundled family called ``name`` (KeyError if absent)."""
@@ -106,18 +103,6 @@ def isa_family(name: str) -> IsaFamily:
         raise KeyError(
             f"unknown ISA family {name!r} (bundled: {known})"
         ) from None
-
-
-def family_of(spec_name: str) -> str:
-    """The family a concrete spec name belongs to.
-
-    ``masked-w8`` → ``masked``; names without a ``-w<N>`` suffix (like
-    plain ``fusion-g3``, or extended specs) are their own family.
-    """
-    match = _SPEC_NAME.match(spec_name)
-    if match and match.group("family") in _BY_NAME:
-        return match.group("family")
-    return spec_name
 
 
 def spec_by_name(name: str) -> IsaSpec:

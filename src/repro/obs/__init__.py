@@ -34,10 +34,13 @@ or programmatically, e.g. in tests::
         compiler.compile_kernel(program)
     assert any(e["name"] == "eqsat" for e in sink.events)
 
-See ``docs/observability.md`` for the span schema and a worked
+Counter blocks add up through :func:`merge_counters` (numbers add,
+dicts add key by key), and ``dataclasses.asdict`` is their payload
+form.  See ``docs/observability.md`` for the span schema and a worked
 example.
 """
 
+from repro.obs.counters import merge_counters
 from repro.obs.sinks import JsonlFileSink, ListSink, NullSink, StderrSink
 from repro.obs.trace import (
     NULL_TRACER,
@@ -63,4 +66,5 @@ __all__ = [
     "ListSink",
     "StderrSink",
     "JsonlFileSink",
+    "merge_counters",
 ]

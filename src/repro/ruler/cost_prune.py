@@ -155,16 +155,6 @@ class CostPruneReport:
     n_rescued: int = 0
     cost_model_digest: str = ""
 
-    def as_dict(self) -> dict:
-        """A JSON-ready provenance dict (artifact / bench payloads)."""
-        return {
-            "n_in": self.n_in,
-            "n_kept": self.n_kept,
-            "n_dominated": self.n_dominated,
-            "n_rescued": self.n_rescued,
-            "cost_model_digest": self.cost_model_digest,
-        }
-
 
 def _introduced_ops(rule: Rewrite) -> set:
     """Operators the rule's RHS mentions but its LHS does not."""

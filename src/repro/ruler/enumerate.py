@@ -38,6 +38,7 @@ from repro.isa.spec import IsaSpec
 from repro.lang import builders as B
 from repro.lang import term as T
 from repro.lang.term import Term
+from repro.obs import merge_counters
 from repro.ruler.cvec import CvecEvaluator, CvecSpec
 from repro.ruler.stats import SynthesisPerf
 
@@ -389,7 +390,7 @@ def _enumerate_size_sharded(
         result.n_enumerated += n_enumerated
         aborted = aborted or shard_aborted
         shard_perf.enumeration_shards = 0  # already counted here
-        perf.merge(shard_perf)
+        merge_counters(perf, shard_perf)
         for rep, term in pairs:
             result.pairs.append((rep, term))
         for fingerprint, terms in news:

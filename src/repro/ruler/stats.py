@@ -25,7 +25,8 @@ class SynthesisPerf:
     Filled in by :mod:`repro.ruler.enumerate` (batched cvec
     evaluation), :mod:`repro.ruler.verify` (batched fuzzing) and
     :mod:`repro.ruler.minimize` (cvec screening); merged across
-    enumeration shards.
+    enumeration shards and verify chunks with
+    :func:`repro.obs.merge_counters`.
     """
 
     # Batched-evaluator counters (see repro.ruler.cvec.CvecEvaluator).
@@ -49,61 +50,6 @@ class SynthesisPerf:
     per_size_times: dict = field(default_factory=dict)
     per_size_terms: dict = field(default_factory=dict)
     per_size_new: dict = field(default_factory=dict)
-
-    def merge(self, other: "SynthesisPerf") -> "SynthesisPerf":
-        """Fold ``other``'s counters into this block (returns self).
-
-        Used to combine per-shard counters from parallel enumeration
-        and per-chunk counters from parallel verification.
-        """
-        self.batched_evals += other.batched_evals
-        self.cvec_cache_hits += other.cvec_cache_hits
-        self.cvec_cache_misses += other.cvec_cache_misses
-        self.fingerprint_collisions += other.fingerprint_collisions
-        self.interned_fingerprints += other.interned_fingerprints
-        self.enumeration_shards += other.enumeration_shards
-        self.verify_batched_terms += other.verify_batched_terms
-        self.verify_legacy_terms += other.verify_legacy_terms
-        self.minimize_screened += other.minimize_screened
-        self.screen_env_cache_hits += other.screen_env_cache_hits
-        self.screen_env_cache_misses += other.screen_env_cache_misses
-        self.costprune_dominated += other.costprune_dominated
-        self.costprune_rescued += other.costprune_rescued
-        for ours, theirs in (
-            (self.per_size_times, other.per_size_times),
-            (self.per_size_terms, other.per_size_terms),
-            (self.per_size_new, other.per_size_new),
-        ):
-            for size, value in theirs.items():
-                ours[size] = ours.get(size, 0) + value
-        return self
-
-    def as_dict(self) -> dict:
-        """A JSON-ready dict (per-size keys stringified for JSON)."""
-        return {
-            "batched_evals": self.batched_evals,
-            "cvec_cache_hits": self.cvec_cache_hits,
-            "cvec_cache_misses": self.cvec_cache_misses,
-            "fingerprint_collisions": self.fingerprint_collisions,
-            "interned_fingerprints": self.interned_fingerprints,
-            "enumeration_shards": self.enumeration_shards,
-            "verify_batched_terms": self.verify_batched_terms,
-            "verify_legacy_terms": self.verify_legacy_terms,
-            "minimize_screened": self.minimize_screened,
-            "screen_env_cache_hits": self.screen_env_cache_hits,
-            "screen_env_cache_misses": self.screen_env_cache_misses,
-            "costprune_dominated": self.costprune_dominated,
-            "costprune_rescued": self.costprune_rescued,
-            "per_size_times": {
-                str(k): v for k, v in sorted(self.per_size_times.items())
-            },
-            "per_size_terms": {
-                str(k): v for k, v in sorted(self.per_size_terms.items())
-            },
-            "per_size_new": {
-                str(k): v for k, v in sorted(self.per_size_new.items())
-            },
-        }
 
 
 def ops_used(rules: list[Rewrite]) -> Counter:

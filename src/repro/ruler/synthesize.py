@@ -11,11 +11,11 @@ dropped, yielding a smaller — but still sound — rule set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.egraph.rewrite import Rewrite
 from repro.isa.spec import IsaSpec
-from repro.obs import current_tracer
+from repro.obs import current_tracer, merge_counters
 from repro.ruler.candidates import candidate_rules
 from repro.ruler.cost_prune import cost_prune_rules
 from repro.ruler.cvec import CvecSpec, GridCache
@@ -271,7 +271,7 @@ def _synthesize_rules(
         outcomes = []
         for oks, chunk_perf in results:
             outcomes.extend(oks)
-            perf.merge(chunk_perf)
+            merge_counters(perf, chunk_perf)
         for rule, ok in zip(batch, outcomes):
             if ok:
                 verified.append(rule)
@@ -299,7 +299,7 @@ def _synthesize_rules(
     if config.cost_prune:
         t0 = time.monotonic()
         pruned, prune_report = cost_prune_rules(verified, spec, perf=perf)
-        pruning = {"single_lane": prune_report.as_dict()}
+        pruning = {"single_lane": asdict(prune_report)}
         stage_times["cost_prune"] = time.monotonic() - t0
         if tracer.enabled:
             tracer.record(
@@ -340,7 +340,7 @@ def _synthesize_rules(
         full_width, full_report = cost_prune_rules(
             full_width, spec, perf=perf
         )
-        pruning["full_width"] = full_report.as_dict()
+        pruning["full_width"] = asdict(full_report)
     stage_times["generalize"] = time.monotonic() - t0
     if tracer.enabled:
         tracer.record(

@@ -28,7 +28,6 @@ factory with the server process (see ``docs/service.md``).
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -40,6 +39,7 @@ from repro.core.artifact import (
     corrupt_entry_miss,
     default_cache_dir,
     spec_semantics_hash,
+    write_atomic,
 )
 from repro.isa import customized_spec, fusion_g3_spec
 from repro.isa.families import bundled_spec_factories
@@ -87,20 +87,6 @@ def service_cache_dir() -> Path:
     if env:
         return Path(env)
     return default_cache_dir() / "service"
-
-
-_tmp_counter = itertools.count()
-
-
-def _tmp_suffix() -> str:
-    """A per-call-unique temp suffix for atomic writes.
-
-    The pid alone is not enough: two executor threads publishing the
-    same fingerprint concurrently would share one temp path, and the
-    loser's ``os.replace`` raises ``FileNotFoundError`` after the
-    winner renames it away.
-    """
-    return ".tmp-%d-%d" % (os.getpid(), next(_tmp_counter))
 
 
 class RegistryEntry:
@@ -192,14 +178,10 @@ class ArtifactRegistry:
     def publish(self, artifact: CompilerArtifact) -> Path:
         """Write an artifact into the registry; returns its path.
 
-        The write is atomic (temp file + rename) so a concurrently
-        serving process never reads a torn artifact.
+        The write is atomic (:func:`~repro.core.artifact.write_atomic`)
+        so a concurrently serving process never reads a torn artifact.
         """
-        self.artifacts_dir.mkdir(parents=True, exist_ok=True)
-        path = self.artifact_path(artifact.fingerprint)
-        tmp = path.with_suffix(_tmp_suffix())
-        tmp.write_text(artifact.to_json())
-        os.replace(tmp, path)
+        path = artifact.save(self.artifact_path(artifact.fingerprint))
         current_tracer().record(
             "registry.publish", 0.0,
             fingerprint=artifact.fingerprint, isa=artifact.isa_name,
@@ -300,8 +282,9 @@ class ArtifactRegistry:
         else:
             raise RegistryError(
                 f"no artifact published for ISA {isa!r} "
-                f"(semantics {memo_key}); run `repro-artifact build` "
-                "and publish into the registry"
+                f"(semantics {memo_key}); build one with `repro-artifact "
+                f"build` and copy it into {self.artifacts_dir}/, or call "
+                "ArtifactRegistry.publish"
             )
         return RegistryEntry(isa, spec, compiler, artifact.fingerprint)
 
@@ -337,13 +320,10 @@ class ArtifactRegistry:
 
     def store_result(self, key: str, payload: dict) -> Path:
         """Cache a finished compile answer under ``key`` (atomic)."""
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        path = self.result_path(key)
         doc = {"key": key, "payload": payload}
-        tmp = path.with_suffix(_tmp_suffix())
-        tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(
+            self.result_path(key), json.dumps(doc, sort_keys=True) + "\n"
+        )
 
     # -- introspection ---------------------------------------------------
 

@@ -31,10 +31,10 @@ themselves run on worker threads, because a thread hop waits for the
 interpreter lock whenever a compile thread holds it.
 
 Every request and batch is tracer-recorded (``service.request``,
-``service.batch``) so ``trace_report`` can roll up queue wait, batch
-size, and hit rates in its ``== service ==`` section.  Operational
-semantics (protocol, registry layout, failure modes, capacity
-planning) are documented in ``docs/service.md``.
+``service.batch``), and ``trace_report``'s per-phase rollup shows
+their counts, cache-hit and dedupe tallies, queue wait and batch
+sizes.  Operational semantics (protocol, registry layout, failure
+modes, capacity planning) are documented in ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ __all__ = [
 #: Default TCP port (overridden by ``REPRO_SERVICE_PORT``).
 DEFAULT_PORT = 7341
 
+# How much of an over-limit line's remainder the server reads and drops
+# before closing, so the close is a clean EOF and not a reset over
+# unread input.  A sender still going past either bound gets the reset.
+_DISCARD_BYTES = 2 * protocol.MAX_MESSAGE_BYTES
+_DISCARD_SECONDS = 10.0
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
@@ -82,6 +88,24 @@ def _env_float(name: str, default: float) -> float:
         return float(raw)
     except ValueError:
         raise ValueError(f"{name} must be a number, got {raw!r}")
+
+
+async def _discard_line(reader) -> None:
+    """Read and drop input up to the next newline or EOF, within
+    ``_DISCARD_BYTES`` and ``_DISCARD_SECONDS``."""
+
+    async def drain() -> None:
+        left = _DISCARD_BYTES
+        while left > 0:
+            chunk = await reader.read(min(left, 1 << 16))
+            if not chunk or b"\n" in chunk:
+                return
+            left -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drain(), _DISCARD_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 class ServiceConfig:
@@ -264,14 +288,15 @@ class CompileService:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except ValueError:
-                    # Past the stream limit.  The rest of the line may
-                    # still be arriving, so framing is lost: answer,
-                    # then close.
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF; a last unterminated line
+                except asyncio.LimitOverrunError:
+                    # Past the stream limit, framing is lost: answer,
+                    # drop the rest of the line, then close.
                     line = None
+                except ConnectionError:
+                    break
                 if line == b"":
                     break
                 self._active += 1
@@ -287,6 +312,7 @@ class CompileService:
                     if self._active == 0:
                         self._idle.set()
                 if line is None:
+                    await _discard_line(reader)
                     break
         finally:
             self._writers.discard(writer)

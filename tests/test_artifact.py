@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,57 @@ class TestCorruptCacheIsAMiss:
         assert compiler.synthesis is not None  # miss → rebuilt
         # ... and the bad entry was overwritten with a loadable one.
         assert CompilerArtifact.load(path).ruleset.counts()
+
+
+class TestAtomicWrites:
+    """Every on-disk entry is written through ``write_atomic``."""
+
+    @staticmethod
+    def _crash_mid_write(monkeypatch):
+        """Make ``Path.write_text`` write half its text, then raise."""
+        real = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk went away mid-write")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+
+    def test_crashed_save_leaves_the_previous_artifact(
+        self, spec, tmp_path, monkeypatch
+    ):
+        config = SynthesisConfig(max_term_size=3)
+        artifact = _handmade_compiler(spec).to_artifact(config=config)
+        path = store_artifact(artifact, spec, config, cache_dir=tmp_path)
+        before = path.read_text()
+        self._crash_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="mid-write"):
+            store_artifact(artifact, spec, config, cache_dir=tmp_path)
+        with pytest.raises(OSError, match="mid-write"):
+            artifact.save(path)
+        assert path.read_text() == before
+        assert CompilerArtifact.load(path).fingerprint == artifact.fingerprint
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_registry_writes_are_atomic(self, spec, tmp_path, monkeypatch):
+        from repro.service import ArtifactRegistry
+
+        registry = ArtifactRegistry(tmp_path)
+        artifact = _handmade_compiler(spec).to_artifact()
+        published = registry.publish(artifact)
+        stored = registry.store_result("k", {"answer": 1})
+        self._crash_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="mid-write"):
+            registry.publish(artifact)
+        with pytest.raises(OSError, match="mid-write"):
+            registry.store_result("k", {"answer": 2})
+        assert CompilerArtifact.load(published).fingerprint == (
+            artifact.fingerprint
+        )
+        assert registry.load_result("k") == {"answer": 1}
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == (
+            sorted([published.name, stored.name])
+        )
 
 
 class TestRoundTrip:

@@ -1,5 +1,7 @@
 """Unit tests for rewrite application and the saturation runner."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.egraph.egraph import EGraph
@@ -11,6 +13,7 @@ from repro.egraph.runner import (
     run_saturation,
 )
 from repro.lang.parser import parse
+from repro.obs import merge_counters
 
 
 class TestRewrite:
@@ -292,7 +295,7 @@ class TestPerfCounters:
         assert second.n_matches == first.n_matches
         assert first.n_matches >= sum(first.rule_unions.values()) > 0
         assert first.apply_time > 0.0
-        payload = first.as_dict()
+        payload = asdict(first)
         assert payload["n_matches"] == first.n_matches
         assert payload["apply_time"] == first.apply_time
 
@@ -328,12 +331,12 @@ class TestPerfCounters:
             g2, [parse_rewrite("mcomm", "(* ?a ?b) => (* ?b ?a)")]
         )
         total = r1.perf.__class__()
-        total.absorb(r1.perf)
-        total.absorb(r2.perf)
+        assert merge_counters(total, r1.perf) is total
+        merge_counters(total, r2.perf)
         assert total.node_visits == r1.perf.node_visits + r2.perf.node_visits
         assert total.n_matches == r1.perf.n_matches + r2.perf.n_matches
         assert total.apply_time == r1.perf.apply_time + r2.perf.apply_time
         assert set(total.rule_node_visits) == {"comm", "mcomm"}
-        round_trip = total.as_dict()
+        round_trip = asdict(total)
         assert round_trip["node_visits"] == total.node_visits
         assert "rule_match_time" in round_trip

@@ -13,7 +13,6 @@ from repro.core.artifact import spec_semantics_hash
 from repro.isa import (
     avx_like_spec,
     bundled_spec_factories,
-    family_of,
     fusion_g3_spec,
     isa_family,
     masked_spec,
@@ -51,14 +50,6 @@ class TestFamilyDescriptors:
     def test_unknown_family_rejected(self):
         with pytest.raises(KeyError, match="bundled"):
             isa_family("neon")
-
-    def test_family_of_parses_spec_names(self):
-        assert family_of("masked-w8") == "masked"
-        assert family_of("avx-like-w16") == "avx-like"
-        assert family_of("fusion-g3") == "fusion-g3"
-        # Unknown families fall back to the raw name, even with a
-        # width-like suffix.
-        assert family_of("fusion-g3+mulsub-w4") == "fusion-g3+mulsub-w4"
 
     def test_bundled_spec_factories_cover_every_width(self):
         factories = bundled_spec_factories()

@@ -11,6 +11,7 @@ compiling two Fig. 4 kernels, each confirmed by the dict oracle.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -42,7 +43,7 @@ from repro.kernels.suite import suite_by_key
 from repro.lang.ops import CONST
 from repro.lang.parser import parse
 from repro.lang.term import make, wildcard
-from repro.obs import ListSink, Tracer, use_tracer
+from repro.obs import ListSink, Tracer, merge_counters, use_tracer
 
 COMM_ADD = parse_rewrite("comm-add", "(+ ?a ?b) => (+ ?b ?a)")
 SQRT_ID = parse_rewrite("sqrt-id", "(sqrt (* ?a ?a)) => ?a")
@@ -213,10 +214,10 @@ class TestUnmatchableCounter:
         with use_tracer(Tracer(sink)):
             report = self.run()
         total = SaturationPerf()
-        total.absorb(report.perf)
-        total.absorb(report.perf)
+        merge_counters(total, report.perf)
+        merge_counters(total, report.perf)
         assert total.n_unmatchable == 2 * report.perf.n_unmatchable
-        assert total.as_dict()["n_unmatchable"] == total.n_unmatchable
+        assert asdict(total)["n_unmatchable"] == total.n_unmatchable
         (eqsat,) = sink.by_name("eqsat")
         assert eqsat["attrs"]["n_unmatchable"] == report.perf.n_unmatchable
 

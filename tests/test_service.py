@@ -10,6 +10,7 @@ flight holds it on a gate (:class:`_Gate`), not on a timing window.
 import asyncio
 import errno
 import json
+import re
 import shutil
 import socket
 import threading
@@ -298,8 +299,11 @@ class TestRegistry:
             registry.entry_for("not-an-isa")
 
     def test_known_isa_without_artifact_raises(self, registry):
-        with pytest.raises(RegistryError, match="no artifact published"):
+        with pytest.raises(RegistryError, match="no artifact published") as e:
             registry.entry_for("fusion-g3+mulsub+sqrtsgn")
+        # The message names the two real ways to publish one.
+        assert f"copy it into {registry.artifacts_dir}/" in str(e.value)
+        assert "ArtifactRegistry.publish" in str(e.value)
 
     def test_corrupt_artifact_is_logged_miss_not_error(self, registry):
         registry.entry_for("fusion-g3")
@@ -813,6 +817,32 @@ class TestServeLoopFaults:
         assert rest == b""  # then that connection closes
         assert ping["ok"]  # and the server serves the others
 
+    def test_over_limit_line_ends_in_a_clean_close(self, registry):
+        # 16 MiB + 1 byte, then about 1 MB more before the newline: the
+        # server answers, reads the rest of the line and closes, so the
+        # client reads the error and then EOF, never a reset.
+        line = b"x" * (protocol.MAX_MESSAGE_BYTES + 1 + 1_000_000) + b"\n"
+
+        def exchange(port):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(line)
+                received = b""
+                while chunk := sock.recv(1 << 16):
+                    received += chunk
+                return received
+
+        async def body(service, client):
+            return [
+                await asyncio.to_thread(exchange, service.port)
+                for _ in range(3)
+            ]
+
+        for received in _run_with_service(registry, body):
+            assert received.count(b"\n") == 1
+            error = protocol.decode_message(received)
+            assert error["error"]["kind"] == "protocol"
+            assert "exceeds" in error["error"]["message"]
+
 
 class TestServiceTracing:
     def test_requests_and_batches_are_recorded(self, registry):
@@ -837,7 +867,7 @@ class TestServiceTracing:
         assert batches[0]["attrs"]["n_kernels"] == 1
 
     def test_trace_report_grows_a_service_section(self, registry):
-        from repro.tools.trace_report import render_report, service_rollup
+        from repro.tools.trace_report import phase_rollup, render_report
 
         kernel = _vadd()
         options = _quick_options()
@@ -850,10 +880,13 @@ class TestServiceTracing:
         with use_tracer(Tracer(sink)):
             _run_with_service(registry, body)
         events = list(sink.events)
-        out = service_rollup(events)
-        assert "requests: 2 (1 cache hits, 0 deduped, 1 compiled)" in out
-        assert "cache hit rate: 50.0%" in out
-        assert "== service ==" in render_report(events)
+        out = phase_rollup(events)
+        # Two requests, one answered from the result cache; one batch.
+        assert re.search(r" 2  service\.request$", out, re.M)
+        assert "cache_hit: no x1, yes x1" in out
+        assert "deduped: no x2" in out
+        assert re.search(r" 1  service\.batch$", out, re.M)
+        assert "service.request" in render_report(events)
 
 
 class _StubServer:

@@ -1,20 +1,19 @@
 """The trace-report CLI renders timelines from JSONL traces."""
 
 import json
+import re
+from collections import Counter
 
 import pytest
 
+from repro.obs import ListSink, Tracer, use_tracer
 from repro.tools.trace_report import (
     hottest_rules,
-    isa_rollup,
     load_events,
     main,
-    minimize_rollup,
     phase_rollup,
     render_report,
-    scheduling_rollup,
-    service_rollup,
-    synthesis_rollup,
+    rollup,
     timeline_table,
 )
 
@@ -30,6 +29,19 @@ def _synthetic_events():
         {"name": "compile", "id": 0, "ts": 9.9, "dur": 0.5,
          "attrs": {"final_cost": 15.0}},
     ]
+
+
+def _attr(text: str, name: str, key: str) -> str:
+    """The summary printed for ``key`` under span ``name``'s rollup row."""
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.endswith(f"  {name}"))
+    for line in lines[row + 1:]:
+        if not line.startswith(" " * 24):  # the next span's row
+            break
+        attr, _, summary = line.strip().partition(": ")
+        if attr == key:
+            return summary
+    raise AssertionError(f"no {key!r} under {name!r}:\n{text}")
 
 
 class TestRendering:
@@ -90,17 +102,25 @@ class TestRendering:
 
     def test_render_report_has_all_sections(self):
         report = render_report(_synthetic_events())
-        assert "== timeline ==" in report
-        assert "== per-phase rollup ==" in report
-        assert "== service ==" in report
-        assert "== isa ==" in report
-        assert "== synthesis ==" in report
-        assert "== minimize ==" in report
-        assert "hottest rules" in report
-        assert "== scheduling ==" in report
+        headings = [l for l in report.splitlines() if l.startswith("== ")]
+        assert headings == [
+            "== timeline ==",
+            "== per-phase rollup ==",
+            "== hottest rules (top 10 by match time) ==",
+        ]
+
+    def test_rollup_lists_each_spans_attrs(self):
+        out = phase_rollup(_synthetic_events() + _synthetic_events())
+        assert _attr(out, "eqsat", "stop_reason") == "saturated x2"
+        assert _attr(out, "compile", "final_cost") == "total 30  max 15"
+        assert _attr(out, "eqsat.iteration", "n_unions") == "total 6  max 3"
+        # The per-rule maps belong to the hottest-rules section.
+        assert "rule_match_time" not in out
 
 
 class TestIsaRollup:
+    """``machine.run`` records roll up like every other span."""
+
     def _run(self, isa, width, cycles, issued, active, masked, vector):
         return {
             "name": "machine.run", "dur": 0.0,
@@ -111,29 +131,29 @@ class TestIsaRollup:
             },
         }
 
-    def test_groups_by_family_across_widths(self):
-        report = isa_rollup([
+    def test_masked_share_column(self):
+        """The masked share's and lane utilization's numerators and
+        denominators are totals on the ``machine.run`` row."""
+        out = phase_rollup([
             self._run("masked-w8", 8, 10, 16, 11, 2, 4),
             self._run("masked-w16", 16, 8, 32, 27, 2, 4),
-            self._run("fusion-g3", 4, 20, 8, 8, 0, 2),
         ])
-        lines = report.splitlines()
-        masked_line = next(l for l in lines if "masked (" in l)
-        assert "8,16" in masked_line
-        # 38 active over 48 issued lanes across both masked runs.
-        assert f"{38 / 48:.3f}" in masked_line
-        fusion_line = next(l for l in lines if "fusion-g3" in l)
-        assert "1.000" in fusion_line
-
-    def test_masked_share_column(self):
-        report = isa_rollup([self._run("masked-w8", 8, 10, 16, 11, 2, 4)])
-        assert "50.0%" in report
+        assert _attr(out, "machine.run", "masked_ops") == "total 4  max 2"
+        assert _attr(out, "machine.run", "vector_ops") == "total 8  max 4"
+        assert _attr(out, "machine.run", "lanes_active") == "total 38  max 27"
+        assert _attr(out, "machine.run", "lanes_issued") == "total 48  max 32"
+        assert _attr(out, "machine.run", "isa") == (
+            "masked-w16 x1, masked-w8 x1"
+        )
 
     def test_placeholder_without_machine_runs(self):
-        assert "no machine.run" in isa_rollup(_synthetic_events())
+        """A trace without simulator runs has no ``machine.run`` row."""
+        assert "machine.run" not in phase_rollup(_synthetic_events())
 
 
 class TestSchedulingRollup:
+    """The hottest-rules section's share, merges and zero-merge flag."""
+
     def test_ranks_by_match_time_share_and_flags_zero_merges(self):
         events = [
             {"name": "eqsat", "id": 1, "ts": 1.0, "dur": 0.2,
@@ -142,12 +162,12 @@ class TestSchedulingRollup:
                  "rule_unions": {"live": 5},
              }},
         ]
-        out = scheduling_rollup(events)
-        lines = out.splitlines()
-        assert "dead" in lines[2] and "75.0%" in lines[2]
-        assert "zero merges" in lines[2]
-        assert "live" in lines[3] and "zero merges" not in lines[3]
-        assert "zero-merge rules: dead" in out
+        lines = hottest_rules(events).splitlines()
+        assert lines[2].split() == ["75.0%", "600.0ms", "0", "0*", "dead"]
+        assert lines[3].split() == ["25.0%", "200.0ms", "0", "5", "live"]
+        assert lines[4].startswith("1 of 2 rules spent match time without")
+        # The count covers the rules past the top N too.
+        assert hottest_rules(events, top=1).splitlines()[-1] == lines[4]
 
     def test_merges_counted_once_when_trace_has_both(self):
         # Since eqsat spans carry rule_unions, the iteration spans'
@@ -164,11 +184,11 @@ class TestSchedulingRollup:
             {"name": "eqsat.iteration", "id": 4, "parent": 3, "ts": 2.0,
              "dur": 0.1, "attrs": {"applied": {}}},
         ]
-        row = scheduling_rollup(events).splitlines()[2]
-        assert row.split()[2:] == ["4", "comm"]
+        row = hottest_rules(events).splitlines()[2]
+        assert row.split()[3:] == ["4", "comm"]
 
     def test_placeholder_without_counters(self):
-        assert "no rule-level counters" in scheduling_rollup(
+        assert "no rule-level counters" in hottest_rules(
             [{"name": "lower", "id": 0, "ts": 1.0, "dur": 0.1}]
         )
 
@@ -193,25 +213,34 @@ def _service_events():
 
 
 class TestServiceRollup:
+    """``service.*`` records roll up like every other span."""
+
     def test_rates_and_queue_wait(self):
-        out = service_rollup(_service_events())
-        assert "requests: 4 (2 cache hits, 1 deduped, 1 compiled)" in out
-        assert "cache hit rate: 50.0%" in out
-        assert "dedupe rate: 25.0%" in out
-        # Queue wait: 0.02s over 4 requests = 5ms avg, 20ms max.
-        assert "5.0ms avg, 20.0ms max" in out
+        """The hit and dedupe rates' numerators and denominator, and
+        the queue wait's total and max."""
+        out = phase_rollup(_service_events())
+        assert re.search(r" 4  service\.request$", out, re.M)
+        assert _attr(out, "service.request", "cache_hit") == "no x2, yes x2"
+        assert _attr(out, "service.request", "deduped") == "no x3, yes x1"
+        assert _attr(out, "service.request", "queue_s") == (
+            "total 0.02  max 0.02"
+        )
 
     def test_batch_sizes(self):
-        out = service_rollup(_service_events())
-        assert "batches: 1 (3.0 kernels avg, 3 max" in out
+        out = phase_rollup(_service_events())
+        assert re.search(r" 1  service\.batch$", out, re.M)
+        assert _attr(out, "service.batch", "n_kernels") == "total 3  max 3"
 
     def test_placeholder_without_service_records(self):
-        assert "no service records" in service_rollup(_synthetic_events())
+        assert "service." not in phase_rollup(_synthetic_events())
 
     def test_aggregates_across_traces(self):
-        out = service_rollup(_service_events() + _service_events())
-        assert "requests: 8" in out
-        assert "cache hit rate: 50.0%" in out
+        request = rollup(_service_events() + _service_events())[
+            "service.request"
+        ]
+        assert request["calls"] == 8
+        assert request["attrs"]["cache_hit"]["tally"] == {False: 4, True: 4}
+        assert request["attrs"]["kernel"]["tally"] == {"qprod": 6, "dot-8": 2}
 
 
 def _synthesis_events():
@@ -234,34 +263,37 @@ def _synthesis_events():
 
 
 class TestSynthesisRollup:
+    """``synthesize.*`` spans roll up like every other span; their
+    per-size dicts are summed key by key."""
+
     def test_per_size_table_and_counters(self):
-        out = synthesis_rollup(_synthesis_events())
-        lines = out.splitlines()
-        assert "enumeration shards: 4" in lines[-1]
-        # One row per size, in numeric order, with terms and new counts.
-        size3 = next(l for l in lines if l.lstrip().startswith("3"))
-        assert "400.0ms" in size3 and "260" in size3 and "58" in size3
-        assert lines.index(size3) > lines.index(
-            next(l for l in lines if l.lstrip().startswith("2"))
+        out = phase_rollup(_synthesis_events())
+        enum = "synthesize.enumerate"
+        assert _attr(out, enum, "size_times") == "1=0.001 2=0.01 3=0.4"
+        assert _attr(out, enum, "size_terms") == "1=5 2=30 3=260"
+        assert _attr(out, enum, "size_new") == "1=5 2=10 3=58"
+        assert _attr(out, enum, "shards") == "total 4  max 4"
+        verify = "synthesize.verify"
+        assert _attr(out, verify, "batched_terms") == "total 160  max 160"
+        assert _attr(out, verify, "legacy_terms") == "total 2  max 2"
+        assert _attr(out, "synthesize.minimize", "n_screened") == (
+            "total 3  max 3"
         )
-        assert "verify sides: 160 batched, 2 per-environment fallback" in out
-        assert "minimize screened: 3" in out
 
     def test_aggregates_across_runs(self):
-        out = synthesis_rollup(_synthesis_events() + _synthesis_events())
-        assert "verify sides: 320 batched, 4 per-environment fallback" in out
-        size3 = next(
-            l for l in out.splitlines() if l.lstrip().startswith("3")
-        )
-        assert "800.0ms" in size3 and "520" in size3
+        out = phase_rollup(_synthesis_events() + _synthesis_events())
+        verify = "synthesize.verify"
+        assert _attr(out, verify, "batched_terms") == "total 320  max 160"
+        assert _attr(out, verify, "legacy_terms") == "total 4  max 2"
+        enum = "synthesize.enumerate"
+        assert _attr(out, enum, "size_times") == "1=0.002 2=0.02 3=0.8"
+        assert _attr(out, enum, "size_terms") == "1=10 2=60 3=520"
 
     def test_placeholder_without_synthesis_spans(self):
-        assert "no synthesis spans" in synthesis_rollup(
-            _synthetic_events()
-        )
+        assert "synthesize" not in phase_rollup(_synthetic_events())
 
     def test_traced_synthesis_round_trips(self, tmp_path, monkeypatch):
-        """A real traced synthesize_rules renders a populated section."""
+        """A real traced synthesize_rules rolls up its stage counters."""
         from repro.isa import fusion_g3_spec
         from repro.ruler import SynthesisConfig, synthesize_rules
 
@@ -272,11 +304,13 @@ class TestSynthesisRollup:
             SynthesisConfig(max_term_size=2, minimize=False),
         )
         monkeypatch.delenv("REPRO_TRACE")
-        out = synthesis_rollup(load_events(path))
-        assert "enumeration shards:" in out
-        assert "verify sides:" in out
+        rows = rollup(load_events(path))
+        enum = rows["synthesize.enumerate"]["attrs"]
+        assert "shards" in enum
+        assert "batched_terms" in rows["synthesize.verify"]["attrs"]
         # Sizes 1 and 2 both enumerated something.
-        assert any(l.lstrip().startswith("1 ") for l in out.splitlines())
+        sizes = enum["size_terms"]["sums"]
+        assert set(sizes) == {"1", "2"} and all(sizes.values())
 
 
 class TestLoading:
@@ -290,6 +324,11 @@ class TestLoading:
         path.write_text('{"name": "a", "id": 0, "ts": 1, "dur": 0}\nnope\n')
         with pytest.raises(ValueError, match=":2:"):
             load_events(path)
+        # Valid JSON that is not a span object is garbage too.
+        for line in ("42", '["a"]', '"x"', "null", '{"attrs": 5}'):
+            path.write_text(f'{{"name": "a"}}\n\n{line}\n')
+            with pytest.raises(ValueError, match=":3: not a span object"):
+                load_events(path)
 
 
 class TestCli:
@@ -306,6 +345,14 @@ class TestCli:
     def test_main_missing_file_is_an_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_main_non_object_line_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"name": "a", "id": 0, "ts": 1, "dur": 0}\n42\n')
+        assert main([str(path)]) == 1
+        assert f"error: {path}:2: not a span object" in (
+            capsys.readouterr().err
+        )
 
 
 class TestEndToEnd:
@@ -335,6 +382,9 @@ class TestEndToEnd:
 
 
 class TestMinimizeRollup:
+    """The cost-prune and derivability-shrink funnels are totals on
+    their spans' rows."""
+
     def _events(self):
         return [
             {"name": "synthesize.cost_prune", "dur": 0.2,
@@ -348,15 +398,119 @@ class TestMinimizeRollup:
         ]
 
     def test_aggregates_prune_and_shrink_spans(self):
-        rollup = minimize_rollup(self._events())
-        assert "cost prune: 268 -> 170 rules" in rollup
-        assert "98 dominated" in rollup
-        assert "19 rescued" in rollup
-        assert "derivability shrink: 97 -> 60 rules" in rollup
-        assert "4 screened unsound" in rollup
+        rows = rollup(self._events())
+        prune = rows["synthesize.cost_prune"]["attrs"]
+        assert [prune[k]["total"] for k in (
+            "n_in", "n_kept", "n_dominated", "n_rescued"
+        )] == [268, 170, 98, 19]
+        shrink = rows["synthesize.minimize"]["attrs"]
+        assert [shrink[k]["total"] for k in (
+            "n_in", "n_kept", "n_screened"
+        )] == [97, 60, 4]
+        assert rows["synthesize.cost_prune"]["dur"] == pytest.approx(0.3)
 
     def test_empty_trace_notes_absence(self):
-        assert "no minimization spans" in minimize_rollup([])
-        assert "no minimization spans" in minimize_rollup(
+        assert phase_rollup([]) == "(no spans in this trace)"
+        assert "synthesize" not in phase_rollup(
             [{"name": "compile", "attrs": {}}]
         )
+
+
+@pytest.fixture(scope="module")
+def mixed_events(tmp_path_factory):
+    """One trace of a compile, a small synthesis with cost pruning and
+    one served request (a result-cache miss, so the server compiles)."""
+    from repro.compiler.compile import CompileOptions
+    from repro.compiler.frontend import trace_kernel
+    from repro.core import default_compiler
+    from repro.egraph.runner import RunnerLimits
+    from repro.isa import fusion_g3_spec
+    from repro.ruler import SynthesisConfig, synthesize_rules
+    from repro.service import ArtifactRegistry, BackgroundServer, CompileClient
+
+    limits = RunnerLimits(max_iterations=4, max_nodes=4_000)
+    options = CompileOptions(
+        max_rounds=1, expansion_limits=limits, compilation_limits=limits,
+        optimization_limits=limits,
+    )
+    kernel = trace_kernel(
+        "vadd4", lambda a, b: [a[i] + b[i] for i in range(4)],
+        {"a": 4, "b": 4}, width=4,
+    )
+    registry = ArtifactRegistry(tmp_path_factory.mktemp("registry"))
+    sink = ListSink()
+    with use_tracer(Tracer(sink)):
+        default_compiler().compile_kernel(kernel, options)
+        synthesize_rules(
+            fusion_g3_spec(),
+            SynthesisConfig(max_term_size=2, minimize=False),
+        )
+        with BackgroundServer(registry=registry) as server:
+            with CompileClient(port=server.port) as client:
+                assert client.compile(kernel, options=options)["ok"]
+    return sink.events
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class TestGenericRollup:
+    """The rollup over a trace that every layer fed."""
+
+    def test_numeric_totals_are_sums_over_the_events(self, mixed_events):
+        names = {e["name"] for e in mixed_events}
+        assert {"compile_kernel", "eqsat", "synthesize.cost_prune",
+                "service.request", "service.batch"} <= names
+        rows = rollup(mixed_events)
+        text = phase_rollup(mixed_events)
+        assert set(rows) == names
+        for name, row in rows.items():
+            spans = [e for e in mixed_events if e["name"] == name]
+            assert row["calls"] == len(spans)
+            assert row["dur"] == pytest.approx(sum(e["dur"] for e in spans))
+            keys = {k for e in spans for k in e.get("attrs", {})}
+            for key in keys - {"rule_match_time", "rule_node_visits",
+                               "rule_unions", "applied"}:
+                values = [e["attrs"][key] for e in spans
+                          if key in e.get("attrs", {})]
+                numbers = [v for v in values if _number(v)]
+                if not numbers:
+                    continue
+                summary = rows[name]["attrs"][key]
+                assert summary["total"] == sum(numbers), (name, key)
+                assert summary["max"] == max(numbers), (name, key)
+                total = sum(numbers)
+                shown = f"{total:.4g}" if isinstance(total, float) else total
+                assert _attr(text, name, key).startswith(f"total {shown}  ")
+
+    def test_eqsat_row_shows_time_split_and_stop_reasons(self, mixed_events):
+        text = phase_rollup(mixed_events)
+        eqsat = [e["attrs"] for e in mixed_events if e["name"] == "eqsat"]
+        for key in ("match_time", "index_time", "apply_time",
+                    "rebuild_time"):
+            total = sum(attrs[key] for attrs in eqsat)
+            assert _attr(text, "eqsat", key).startswith(
+                f"total {total:.4g}  max "
+            )
+        reasons = Counter(attrs["stop_reason"] for attrs in eqsat)
+        assert _attr(text, "eqsat", "stop_reason") == ", ".join(
+            f"{reason} x{n}" for reason, n in sorted(
+                reasons.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        )
+
+    def test_merges_come_from_rule_unions_only(self, mixed_events):
+        unions: Counter = Counter()
+        applied: Counter = Counter()
+        for event in mixed_events:
+            attrs = event.get("attrs", {})
+            unions.update(attrs.get("rule_unions", {}))
+            applied.update(attrs.get("applied", {}))
+        rows = hottest_rules(mixed_events, top=10_000).splitlines()[2:-1]
+        listed = [row.split()[-1] for row in rows]
+        for row, rule in zip(rows, listed):
+            assert row.split()[-2].rstrip("*") == str(unions[rule])
+        # Some listed rule merged in a traced iteration, so adding the
+        # applied maps too would have changed its count.
+        assert any(applied[rule] for rule in listed)
