@@ -76,18 +76,41 @@ def kernel_spec_hash(program: KernelProgram) -> str:
     Covers everything the compiler consumes — the canonicalized term,
     output array/length, input array layout, and vector width — so two
     programs with the same hash compile identically.  Used to identify
-    kernels in error reports and as the leading component of
-    expansion-cache keys.
+    kernels in error reports and as the ``spec_hash`` of a compile
+    service answer.  It is :func:`wire_spec_hash` of the term as
+    ``to_sexpr`` prints it.
     """
     from repro.lang.parser import to_sexpr
 
-    parts = [
+    return wire_spec_hash(
         program.name,
         to_sexpr(program.term),
         program.output,
-        str(program.output_len),
-        ",".join(f"{k}={v}" for k, v in sorted(program.arrays.items())),
-        str(program.width),
+        program.output_len,
+        program.arrays,
+        program.width,
+    )
+
+
+def wire_spec_hash(
+    name: str, term: str, output: str, output_len: int, arrays: dict,
+    width: int,
+) -> str:
+    """:func:`kernel_spec_hash` over a kernel's text form.
+
+    ``term`` is the s-expression as written, which is what the compile
+    service's wire kernel carries, so the server keys a request without
+    parsing it.  A term spelled the way ``to_sexpr`` prints it hashes
+    to :func:`kernel_spec_hash` of the parsed program; any other
+    spelling of the same term hashes differently.
+    """
+    parts = [
+        name,
+        term,
+        output,
+        str(output_len),
+        ",".join(f"{k}={v}" for k, v in sorted(arrays.items())),
+        str(width),
     ]
     blob = "\n".join(parts).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -9,13 +9,18 @@ paper's two-stage split turned into a service.
 
 Request handling is three-tiered, cheapest first:
 
-1. **result cache** — a repeat request (same artifact fingerprint,
-   kernel spec hash, and options) is answered from the registry's
-   content-addressed result store without touching the compile pool;
+1. **result cache** — a repeat request (same ISA artifact, the same
+   kernel as sent, the same resolved options) is answered from the
+   registry's content-addressed result store.  The key is hashed
+   from the request's own ``kernel`` and ``options`` JSON, so a hit
+   parses no term and touches no compile pool (and resolves no
+   options when, as from the bundled clients, the options dict names
+   every field);
 2. **in-flight dedupe** — concurrent identical requests share one
    compile: the first creates a future keyed by the result key,
-   later arrivals await the same future;
-3. **batched compile** — cache misses queue up; a batcher task
+   later arrivals await the same future (and parse nothing either);
+3. **batched compile** — only now is the kernel's term parsed and
+   its options resolved; cache misses queue up; a batcher task
    takes the first job plus every job already waiting (it never
    waits for more), groups them by (compiler, options), and compiles
    each kernel of a group through
@@ -181,9 +186,7 @@ class _Job:
 
     __slots__ = (
         "key",
-        "isa",
         "program",
-        "spec_hash",
         "entry",
         "options",
         "opts_digest",
@@ -192,13 +195,9 @@ class _Job:
         "dequeued",
     )
 
-    def __init__(
-        self, key, isa, program, spec_hash, entry, options, opts_digest, future
-    ):
+    def __init__(self, key, program, entry, options, opts_digest, future):
         self.key = key
-        self.isa = isa
         self.program = program
-        self.spec_hash = spec_hash
         self.entry = entry
         self.options = options
         self.opts_digest = opts_digest
@@ -373,27 +372,31 @@ class CompileService:
 
     async def _handle_compile(self, message: dict) -> dict:
         from repro.compiler.pipeline import KernelCompileError
-        from repro.kernels.specs import kernel_spec_hash
+        from repro.kernels.specs import wire_spec_hash
 
         t0 = time.perf_counter()
         self.compile_requests += 1
+        # Validate both fields before the ISA resolves; the key is
+        # hashed from them unparsed, and only a queued compile parses.
         if "kernel" not in message:
             raise protocol.ProtocolError("compile request needs a kernel")
-        program = protocol.kernel_from_wire(message["kernel"])
+        fields = protocol.kernel_fields(message["kernel"])
+        explicit = message.get("options")
+        opts_digest = (
+            protocol.wire_options_digest(explicit)
+            if explicit is not None
+            else None
+        )
         isa = str(message.get("isa", "fusion-g3"))
         entry = self.registry.resolved(isa)
         if entry is None:  # first request: may bootstrap for seconds
             entry = await asyncio.to_thread(self.registry.entry_for, isa)
-        explicit = message.get("options")
-        options = (
-            protocol.options_from_wire(explicit)
-            if explicit is not None
-            else None
+        if opts_digest is None:
+            opts_digest = protocol.options_digest(entry.compiler.options)
+        key = protocol.result_key(
+            entry.fingerprint, wire_spec_hash(**fields), opts_digest
         )
-        resolved = options if options is not None else entry.compiler.options
-        opts_digest = protocol.options_digest(resolved)
-        spec_hash = kernel_spec_hash(program)
-        key = protocol.result_key(entry.fingerprint, spec_hash, opts_digest)
+        name = fields["name"]
 
         cached = self.registry.load_result(key)
         if cached is not None:
@@ -401,7 +404,7 @@ class CompileService:
             current_tracer().record(
                 "service.request",
                 time.perf_counter() - t0,
-                kernel=program.name,
+                kernel=name,
                 cache_hit=True,
                 deduped=False,
                 queue_s=0.0,
@@ -419,11 +422,17 @@ class CompileService:
             future = self._inflight[key]
             job = None
         else:
+            # Parse before the future exists, so a term that fails to
+            # parse leaves nothing for a repeat to wait on.
+            program = protocol.kernel_from_wire(fields)
+            options = (
+                protocol.options_from_wire(explicit)
+                if explicit is not None
+                else None
+            )
             future = asyncio.get_running_loop().create_future()
             self._inflight[key] = future
-            job = _Job(
-                key, isa, program, spec_hash, entry, options, opts_digest, future
-            )
+            job = _Job(key, program, entry, options, opts_digest, future)
             await self._queue.put(job)
 
         try:
@@ -433,7 +442,7 @@ class CompileService:
         except asyncio.TimeoutError:
             return self._error(
                 "timeout",
-                f"compile of {program.name!r} exceeded "
+                f"compile of {name!r} exceeded "
                 f"{self.config.request_timeout}s",
             )
         except KernelCompileError as exc:
@@ -442,7 +451,7 @@ class CompileService:
         current_tracer().record(
             "service.request",
             time.perf_counter() - t0,
-            kernel=program.name,
+            kernel=name,
             cache_hit=False,
             deduped=deduped,
             queue_s=queue_s,
@@ -507,13 +516,19 @@ class CompileService:
 
     def _settle(self, job: "_Job", outcome) -> None:
         """Answer ``job`` with its compiled kernel (stored in the result
-        cache first) or the exception its compile raised."""
+        cache first) or the exception its compile raised.  The answer's
+        ``spec_hash`` is the parsed program's, so it does not depend on
+        how the request spelled the kernel."""
+        from repro.kernels.specs import kernel_spec_hash
+
         if isinstance(outcome, Exception):
             self._inflight.pop(job.key, None)
             if not job.future.done():
                 job.future.set_exception(outcome)
             return
-        payload = protocol.compiled_to_wire(outcome, job.spec_hash)
+        payload = protocol.compiled_to_wire(
+            outcome, kernel_spec_hash(job.program)
+        )
         try:
             self.registry.store_result(job.key, payload)
         except OSError as exc:

@@ -264,6 +264,17 @@ def render_report(
     ])
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -272,11 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("trace", help="path to the JSONL trace file")
     parser.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_count, default=10,
         help="how many hottest rules to list (default 10)",
     )
     parser.add_argument(
-        "--max-depth", type=int, default=None,
+        "--max-depth", type=_count, default=None,
         help="hide timeline spans nested deeper than this",
     )
     args = parser.parse_args(argv)

@@ -8,7 +8,9 @@ flight holds it on a gate (:class:`_Gate`), not on a timing window.
 """
 
 import asyncio
+import dataclasses
 import errno
+import hashlib
 import json
 import re
 import shutil
@@ -22,7 +24,9 @@ from repro.compiler.compile import CompileOptions
 from repro.compiler.frontend import trace_kernel
 from repro.compiler.pipeline import compile_many
 from repro.egraph.runner import RunnerLimits
-from repro.kernels.specs import kernel_spec_hash
+from repro.kernels.specs import kernel_spec_hash, wire_spec_hash
+from repro.kernels.suite import suite_by_key
+from repro.lang.parser import to_sexpr
 from repro.obs import ListSink, Tracer, use_tracer
 from repro.service import (
     ArtifactRegistry,
@@ -272,6 +276,212 @@ class TestProtocol:
         assert protocol.result_key("fp2", "kh", "od") != base
         assert protocol.result_key("fp", "kh2", "od") != base
         assert protocol.result_key("fp", "kh", "od2") != base
+
+    def test_kernel_fields_normalize_without_parsing(self):
+        wire = dict(
+            protocol.kernel_to_wire(_vadd()),
+            term="not an s-expression (",
+            output_len="4",
+            arrays={"a": 4.0, "b": "4"},
+        )
+        fields = protocol.kernel_fields(wire)
+        assert fields["term"] == "not an s-expression ("
+        assert fields["output_len"] == 4
+        assert fields["arrays"] == {"a": 4, "b": 4}
+        with pytest.raises(ProtocolError, match="term must be a string"):
+            protocol.kernel_fields(dict(wire, term=7))
+
+    def test_kernel_fields_keep_one_key_text_to_one_kernel(self):
+        # The kernel hash joins fields with newlines and arrays as
+        # name=length pairs.  A term may span lines, so a newline in
+        # another field, or ',' / '=' in an array name, could make two
+        # different kernels one key; such kernels are refused.
+        wire = protocol.kernel_to_wire(_vadd())
+        trailing = dict(wire, term=wire["term"] + "\n")
+        shifted = dict(wire, output="\n" + wire["output"])
+        assert wire_spec_hash(**protocol.kernel_fields(trailing)) == (
+            wire_spec_hash(**{**protocol.kernel_fields(wire),
+                              "output": shifted["output"]})
+        )
+        for bad in (
+            shifted,
+            dict(wire, name="two\nlines"),
+            dict(wire, arrays={"a\nb": 4}),
+            dict(wire, arrays={"a=4,b": 4}),
+        ):
+            with pytest.raises(ProtocolError, match="malformed kernel"):
+                protocol.kernel_fields(bad)
+
+    def test_wire_options_digest_rejects_non_dict(self):
+        with pytest.raises(ProtocolError, match="options"):
+            protocol.wire_options_digest([1])
+
+    def test_wire_options_digest_keys_a_partial_dict_as_resolved(self):
+        # Only a dict naming every field resolves to exactly its own
+        # values; any other is keyed on what the server applies, so a
+        # changed default or a newly honoured field moves its key.
+        options = _quick_options()
+        full = protocol.options_to_wire(options)
+        no_phased = {k: v for k, v in full.items() if k != "phased"}
+        short_limits = dict(
+            full,
+            compilation_limits={
+                k: v for k, v in full["compilation_limits"].items()
+                if k != "match_work"
+            },
+        )
+        for partial in (
+            {},
+            no_phased,
+            dict(full, from_a_newer_client=True),
+            short_limits,
+            dict(full, unphased_limits=None),
+        ):
+            assert protocol.wire_options_digest(partial) == (
+                protocol.options_digest(protocol.options_from_wire(partial))
+            ), partial
+        assert protocol.wire_options_digest({}) == protocol.options_digest(
+            CompileOptions()
+        )
+        assert protocol.wire_options_digest(
+            dict(full, from_a_newer_client=True)
+        ) == protocol.options_digest(options)
+
+
+def _over_the_wire(value):
+    """``value`` as the server decodes it from a client's line."""
+    line = protocol.encode_message({"value": value})
+    return protocol.decode_message(line)["value"]
+
+
+def _key_identity_options() -> list:
+    """Option values the bundled clients send: the defaults, the
+    artifact CLI's quick options, and perfbench's tight (service) and
+    Fig. 4 options, whose wall-clock limits are a 60 s no-op."""
+    from repro.tools.artifact_cli import _quick_options as cli_quick
+
+    no_clock = 60.0
+    tight = CompileOptions(
+        max_rounds=1,
+        expansion_limits=RunnerLimits(
+            max_iterations=2, max_nodes=2_000, time_limit=no_clock
+        ),
+        compilation_limits=RunnerLimits(
+            max_iterations=4, max_nodes=4_000, time_limit=no_clock
+        ),
+        optimization_limits=RunnerLimits(
+            max_iterations=2, max_nodes=2_000, time_limit=no_clock
+        ),
+    )
+    fig4 = CompileOptions(
+        max_rounds=2,
+        expansion_limits=RunnerLimits(
+            max_iterations=2, max_nodes=2_000, time_limit=no_clock,
+            match_limit=100, ban_length=1, match_work=40_000,
+        ),
+        compilation_limits=RunnerLimits(
+            max_iterations=8, max_nodes=2_000, time_limit=no_clock,
+            match_limit=80, ban_length=3, match_work=25_000,
+        ),
+        optimization_limits=RunnerLimits(
+            max_iterations=2, max_nodes=2_000, time_limit=no_clock
+        ),
+    )
+    return [CompileOptions(), tight, fig4, cli_quick()]
+
+
+def _parent_kernel_hash(program) -> str:
+    """The kernel hash of a key computed from the parsed program,
+    before keys were hashed from the wire form.  This and the two
+    helpers below are written out in full so that a change to the
+    shared hash functions cannot move these oracles along with them."""
+    parts = [
+        program.name,
+        to_sexpr(program.term),
+        program.output,
+        str(program.output_len),
+        ",".join(f"{k}={v}" for k, v in sorted(program.arrays.items())),
+        str(program.width),
+    ]
+    blob = "\n".join(parts).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _parent_options_digest(options) -> str:
+    """The options digest of a key computed from resolved options."""
+    blob = json.dumps(dataclasses.asdict(options), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _parent_result_key(fingerprint, program, options) -> str:
+    """The whole result key as computed before, for protocol v1."""
+    blob = (
+        f"v1|{fingerprint}|{_parent_kernel_hash(program)}|"
+        f"{_parent_options_digest(options)}"
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
+class TestKeysFromTheWire:
+    """A request is keyed from its JSON as sent; for everything the
+    bundled clients send, that key is the one the parsed program and
+    resolved options give, so existing ``results/`` entries still hit."""
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 16])
+    def test_wire_kernel_hash_is_the_spec_hash(self, width):
+        for key, instance in suite_by_key(width=width).items():
+            program = instance.program
+            sent = _over_the_wire(protocol.kernel_to_wire(program))
+            wire_hash = wire_spec_hash(**protocol.kernel_fields(sent))
+            assert wire_hash == kernel_spec_hash(program), key
+            assert wire_hash == _parent_kernel_hash(program), key
+
+    def test_wire_options_digest_is_the_options_digest(self):
+        for options in _key_identity_options():
+            sent = _over_the_wire(protocol.options_to_wire(options))
+            digest = protocol.wire_options_digest(sent)
+            assert digest == protocol.options_digest(options)
+            assert digest == _parent_options_digest(options)
+
+    def test_keys_match_the_parent_computation(self, registry):
+        fingerprint = registry.entry_for("fusion-g3").fingerprint
+        program = _vadd()
+        for options in _key_identity_options():
+            assert protocol.result_key(
+                fingerprint,
+                wire_spec_hash(**protocol.kernel_fields(
+                    _over_the_wire(protocol.kernel_to_wire(program))
+                )),
+                protocol.wire_options_digest(
+                    _over_the_wire(protocol.options_to_wire(options))
+                ),
+            ) == _parent_result_key(fingerprint, program, options)
+
+    def test_entry_written_under_the_parent_key_is_served(self, registry):
+        entry = registry.entry_for("fusion-g3")
+        options = _quick_options()
+        with_options = {"kernel": "vadd4", "stored": "with options"}
+        default = {"kernel": "vmul4", "stored": "artifact options"}
+        registry.store_result(
+            _parent_result_key(entry.fingerprint, _vadd(), options),
+            with_options,
+        )
+        registry.store_result(
+            _parent_result_key(
+                entry.fingerprint, _vmul(), entry.compiler.options
+            ),
+            default,
+        )
+
+        async def body(service, client):
+            first = await client.compile(_vadd(), options=options)
+            second = await client.compile(_vmul())  # no options field
+            return first, second, service
+
+        first, second, service = _run_with_service(registry, body)
+        assert first["cached"] is True and first["result"] == with_options
+        assert second["cached"] is True and second["result"] == default
+        assert service.compiled == 0
 
 
 class TestRegistry:
@@ -698,6 +908,144 @@ class TestRequestPath:
         response = _run_with_service(registry, body)
         assert response["cached"] is True
         assert hops == []
+
+    def test_only_a_queued_compile_parses(self, registry, monkeypatch):
+        parses, resolutions = [], []
+        real_kernel = protocol.kernel_from_wire
+        real_options = protocol.options_from_wire
+
+        def counting_kernel(data):
+            parses.append(data["name"])
+            return real_kernel(data)
+
+        def counting_options(data):
+            resolutions.append(data)
+            return real_options(data)
+
+        monkeypatch.setattr(protocol, "kernel_from_wire", counting_kernel)
+        monkeypatch.setattr(protocol, "options_from_wire", counting_options)
+        gate = _Gate(monkeypatch)
+        options = _quick_options()
+
+        def counts():
+            return len(parses), len(resolutions)
+
+        async def body(service, client):
+            seen = {}
+            async with AsyncCompileClient(port=service.port) as second:
+                first = asyncio.create_task(
+                    client.compile(_vadd(), options=options)
+                )
+                await gate.held()
+                seen["compile"] = counts()
+                twin = asyncio.create_task(
+                    second.compile(_vadd(), options=options)
+                )
+                await _until(lambda: service.dedup_hits == 1)
+                seen["dedupe"] = counts()
+                gate.release()
+                assert (await twin)["deduped"] is True
+                await first
+            assert (await client.compile(_vadd(), options=options))[
+                "cached"
+            ]
+            seen["hit"] = counts()
+            await client.compile(_vmul(), options=options)
+            seen["second compile"] = counts()
+            return seen
+
+        seen = _run_with_service(registry, body)
+        assert seen == {
+            "compile": (1, 1),
+            "dedupe": (1, 1),
+            "hit": (1, 1),
+            "second compile": (2, 2),
+        }
+        assert parses == ["vadd4", "vmul4"]
+
+    def test_respelled_term_compiles_once_under_its_own_key(self, registry):
+        kernel = _vadd()
+        options = _quick_options()
+        wire = protocol.kernel_to_wire(kernel)
+        respelled = dict(wire, term=wire["term"].replace(" ", "  "))
+
+        async def body(service, client):
+            canonical = await client.compile(kernel, options=options)
+            first = await client.request(_compile_msg(respelled, options))
+            again = await client.request(_compile_msg(respelled, options))
+            return canonical, first, again, service
+
+        canonical, first, again, service = _run_with_service(registry, body)
+        assert canonical["cached"] is False
+        assert first["cached"] is False and again["cached"] is True
+        # The answer, spec hash included, is the canonical one.
+        assert first["result"] == canonical["result"]
+        assert again["result"] == canonical["result"]
+        assert service.compiled == 2
+
+    def test_partial_options_share_the_resolved_key(self, registry):
+        kernel = _vadd()
+        options = _quick_options()
+        full = protocol.options_to_wire(options)
+        # ``phased`` left to its default, plus a field this server
+        # does not know: both resolve to ``options``.
+        partial = dict(
+            {k: v for k, v in full.items() if k != "phased"},
+            from_a_newer_client=1,
+        )
+        wire = protocol.kernel_to_wire(kernel)
+
+        async def body(service, client):
+            canonical = await client.compile(kernel, options=options)
+            respelled = await client.request(
+                dict(_compile_msg(wire), options=partial)
+            )
+            return canonical, respelled, service
+
+        canonical, respelled, service = _run_with_service(registry, body)
+        assert canonical["cached"] is False
+        assert respelled["cached"] is True
+        assert respelled["result"] == canonical["result"]
+        assert service.compiled == 1
+
+    def test_unparsable_term_is_a_protocol_error_every_time(self, registry):
+        wire = dict(protocol.kernel_to_wire(_vadd()), term="(List (Vec")
+
+        async def body(service, client):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ServiceError) as failed:
+                    await client.request(_compile_msg(wire, _quick_options()))
+                errors.append(failed.value)
+            return errors, service
+
+        # A short timeout: a repeat waiting on a dangling future would
+        # answer "timeout" instead of hanging the test.
+        errors, service = _run_with_service(
+            registry, body, request_timeout=5.0
+        )
+        assert [e.kind for e in errors] == ["protocol", "protocol"]
+        assert all("malformed kernel" in e.message for e in errors)
+        assert service._inflight == {} and service._queue.qsize() == 0
+        assert service.compiled == 0
+        assert not list(registry.results_dir.glob("*.json"))
+
+    def test_bad_fields_are_protocol_errors_before_the_isa(self, registry):
+        wire = protocol.kernel_to_wire(_vadd())
+        no_arrays = {k: v for k, v in wire.items() if k != "arrays"}
+
+        async def body(service, client):
+            kinds = []
+            for message in (
+                _compile_msg(no_arrays, isa="not-an-isa"),
+                dict(_compile_msg(wire, isa="not-an-isa"), options=[1]),
+            ):
+                with pytest.raises(ServiceError) as failed:
+                    await client.request(message)
+                kinds.append(failed.value.kind)
+            return kinds
+
+        assert _run_with_service(registry, body) == ["protocol", "protocol"]
 
     def test_emptied_results_dir_compiles_again(self, registry):
         kernel = _vadd()

@@ -346,6 +346,21 @@ class TestCli:
         assert main([str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--top", "--max-depth"])
+    def test_main_rejects_a_negative_count(self, tmp_path, capsys, flag):
+        # --top -1 listed all but one rule and --max-depth -1 hid the
+        # whole timeline; both are usage errors now.
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(e) for e in _synthetic_events()) + "\n"
+        )
+        with pytest.raises(SystemExit) as exit_:
+            main([str(path), flag, "-1"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be 0 or more, got -1" in err
+        assert main([str(path), flag, "0"]) == 0
+
     def test_main_non_object_line_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         path.write_text('{"name": "a", "id": 0, "ts": 1, "dur": 0}\n42\n')
