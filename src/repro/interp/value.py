@@ -76,8 +76,14 @@ def values_equal(a: Value, b: Value) -> bool:
     """Semantic equality of two values, undefinedness included.
 
     Recurses through tuples so it also compares ``List`` results
-    (tuples of vectors), not just flat vectors.
+    (tuples of vectors), not just flat vectors.  Exactly equal values
+    agree, so ``a == b`` (one comparison, made in C for a vector or
+    ``List`` of floats) answers first; the lane walk, with its float
+    tolerance and nan matching nan, runs only for values that are not
+    exactly equal.  A nan is never ``==`` itself, so it reaches the walk.
     """
+    if a == b:
+        return True
     a_undef = a is UNDEFINED
     b_undef = b is UNDEFINED
     if a_undef or b_undef:

@@ -3,7 +3,9 @@
 Concrete syntax, matching the paper's examples:
 
 - ``(+ (Get x 0) (Get y 0))`` — operators are symbols in head position;
-- ``(Get x 3)`` parses to a ``Get`` leaf with payload ``("x", 3)``;
+- ``(Get x 3)`` parses to a ``Get`` leaf with payload ``("x", 3)``
+  (``3.0`` and ``3e0`` too; a non-integral index is a
+  :class:`ParseError`);
 - bare numbers are ``Const`` leaves, bare identifiers ``Symbol`` leaves;
 - ``?a`` is a wildcard (patterns only).
 """
@@ -91,7 +93,10 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Term, int]:
             or not T.is_const(args[1])
         ):
             raise ParseError("Get expects (Get <array> <index>)")
-        return T.get(args[0].payload, args[1].payload), pos
+        try:
+            return T.get(args[0].payload, args[1].payload), pos
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     return T.make(op, *args), pos
 
 

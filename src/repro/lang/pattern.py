@@ -16,13 +16,22 @@ from repro.lang import term as T
 from repro.lang.term import Term
 
 
+# Terms are interned and immutable, so a pattern's wildcard names
+# are collected once per process.
+_WILDCARDS: dict[Term, tuple[str, ...]] = {}
+
+
 def wildcards_of(pattern: Term) -> tuple[str, ...]:
-    """Wildcard names in ``pattern``, in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for sub in T.subterms(pattern):
-        if T.is_wildcard(sub):
-            seen.setdefault(sub.payload, None)
-    return tuple(seen)
+    """Wildcard names in ``pattern``, in first-occurrence order
+    (memoized per term)."""
+    names = _WILDCARDS.get(pattern)
+    if names is None:
+        seen: dict[str, None] = {}
+        for sub in T.subterms(pattern):
+            if T.is_wildcard(sub):
+                seen.setdefault(sub.payload, None)
+        names = _WILDCARDS[pattern] = tuple(seen)
+    return names
 
 
 def is_ground(pattern: Term) -> bool:

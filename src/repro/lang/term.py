@@ -110,7 +110,12 @@ def get(array: str, index: int) -> Term:
 
     Rewrite rules treat array elements as opaque atoms, so ``Get`` is a
     leaf with an ``(array, index)`` payload rather than a binary node.
+    An integral float index names the same leaf as its ``int``; a
+    non-integral one raises ``ValueError`` instead of naming another
+    element.
     """
+    if isinstance(index, float) and not index.is_integer():
+        raise ValueError(f"Get index must be an integer, got {index!r}")
     return make(GET, payload=(str(array), int(index)))
 
 
@@ -187,10 +192,20 @@ def fold_term(term: Term, fn):
     return memo[term]
 
 
+# Terms are interned and immutable (and _INTERN keeps them alive), so
+# a term's size is computed once per process.
+_SIZES: dict[Term, int] = {}
+
+
 def term_size(term: Term) -> int:
     """Number of nodes in the term *tree* (shared nodes counted per
-    occurrence), computed DAG-efficiently."""
-    return fold_term(term, lambda t, child_sizes: 1 + sum(child_sizes))
+    occurrence), computed DAG-efficiently and memoized per term."""
+    size = _SIZES.get(term)
+    if size is None:
+        size = _SIZES[term] = fold_term(
+            term, lambda t, child_sizes: 1 + sum(child_sizes)
+        )
+    return size
 
 
 def term_depth(term: Term) -> int:

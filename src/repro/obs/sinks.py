@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 
@@ -59,23 +60,29 @@ class JsonlFileSink:
     so separate pipeline stages (or worker processes, each re-reading
     ``REPRO_TRACE`` from its environment) accumulate into one trace.
     Each event is written with a single ``write`` call and flushed, so
-    concurrent appenders interleave whole lines, not fragments.
+    concurrent appenders interleave whole lines, not fragments.  A lock
+    orders ``emit`` and ``close``, so a span finishing on one thread
+    while another closes the sink still writes its whole line.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._file = None
+        self._lock = threading.Lock()
 
     def emit(self, event: dict) -> None:
         """Append ``event`` as one JSON line (opens the file lazily)."""
-        if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("a")
-        self._file.write(json.dumps(event, default=str) + "\n")
-        self._file.flush()
+        line = json.dumps(event, default=str) + "\n"
+        with self._lock:
+            if self._file is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = self.path.open("a")
+            self._file.write(line)
+            self._file.flush()
 
     def close(self) -> None:
         """Close the underlying file (re-opens on the next emit)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None

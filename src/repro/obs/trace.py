@@ -244,6 +244,12 @@ def current_tracer() -> Tracer | NullTracer:
     :func:`use_tracer`) takes precedence; otherwise the tracer derives
     from ``REPRO_TRACE``, re-read on every call (cheap, and lets tests
     monkeypatch the environment) but rebuilt only when it changes.
+
+    A rebuild closes the tracer it replaces, so a trace file is closed
+    as soon as ``REPRO_TRACE`` stops naming it.  A span opened on the
+    old tracer and still open on another thread finishes into that
+    tracer all the same: its file sink reopens the old file to append
+    the event, and that handle is then left to garbage collection.
     """
     if _explicit is not None:
         return _explicit
@@ -252,6 +258,7 @@ def current_tracer() -> Tracer | NullTracer:
     cached_value, cached_tracer = _env_cache
     if raw == cached_value:
         return cached_tracer
+    cached_tracer.close()
     tracer = tracer_from_env(raw)
     _env_cache = (raw, tracer)
     return tracer

@@ -15,6 +15,19 @@ root lane function across all environments over the children's cached
 rows — O(envs) per candidate instead of O(nodes × envs).  Fingerprints
 are interned to small ints for fast pool lookups.
 
+A fingerprint is a tuple of per-environment *keys*
+(:func:`fingerprint_key`) that hash and compare in C.  An integral
+value keys as its ``int``, any other rational as the tagged triple
+``("q", numerator, denominator)`` in lowest terms, and a float is
+rounded to 9 places and then keyed exactly by its integer ratio, so
+``0.5`` keys like ``Fraction(1, 2)`` and ``-0.0`` like ``0`` (nan and
+±inf stay floats).  The tag keeps a rational apart from the 2-lane
+vector ``(numerator, denominator)``, which keys as itself.  Keys are
+equal exactly when the ``Fraction`` keys used before them were
+(``tests/test_fingerprint_keys.py``), so interning order, pools and
+pairs are unchanged, but no lookup runs ``Fraction``'s pure-Python
+``__hash__`` or ``__eq__``.
+
 The row combination performs exactly the arithmetic of one tree
 interpretation per environment, so fingerprints agree with that
 historical path; ``tests/cvec_oracle.py`` keeps it, and
@@ -29,6 +42,7 @@ samples respectively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,19 +77,34 @@ class CvecSpec:
         return len(self.envs)
 
 
-def _fingerprint_value(value):
-    """A hashable, float-noise-tolerant key for one value."""
-    if value is UNDEFINED:
+def fingerprint_key(value):
+    """The exact, C-hashable fingerprint key of one value.
+
+    ``"undef"`` for UNDEFINED; an ``int`` for an integral value; the
+    tagged triple ``("q", numerator, denominator)`` for any other
+    rational; a float is first rounded to 9 places (fingerprint
+    stability for the irrational-producing ops) and then keyed exactly
+    by its integer ratio, except nan and ±inf, which stay the rounded
+    float.  A vector (or ``List``) value keys as itself.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        numerator, denominator = value.as_integer_ratio()
+    elif value is UNDEFINED:
         return "undef"
-    if isinstance(value, float):
-        if value == 0.0:
-            return Fraction(0)
-        return round(value, 9)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return Fraction(value)  # normalize int-valued entries
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
+    elif isinstance(value, float):
+        value = round(value, 9)
+        if not math.isfinite(value):
+            return value
+        numerator, denominator = value.as_integer_ratio()
+    elif isinstance(value, int):
+        return int(value)
+    else:
+        return value
+    if denominator == 1:
+        return numerator
+    return ("q", numerator, denominator)
 
 
 def _lanewise(fn, args: tuple):
@@ -108,8 +137,12 @@ class CvecEvaluator:
 
     The evaluator also interns fingerprints to dense small ints so the
     enumeration pool and candidate bookkeeping hash an int instead of
-    an ~88-element tuple on every lookup.  Counters go to ``perf`` (a
-    :class:`repro.ruler.stats.SynthesisPerf`).
+    an ~88-element tuple on every lookup.  The one hash that interning
+    does per fingerprint runs in C: a scalar keys as an ``int``, a
+    tagged ``("q", numerator, denominator)`` triple, ``"undef"`` or a
+    nan/inf float, never as a ``Fraction`` (see :func:`fingerprint_key`;
+    the tag keeps a rational's key from equalling a 2-lane vector's).
+    Counters go to ``perf`` (a :class:`repro.ruler.stats.SynthesisPerf`).
     """
 
     __slots__ = ("_interp", "envs", "_rows", "_ids", "_fingerprints", "perf")
@@ -285,22 +318,16 @@ class CvecEvaluator:
     # -- fingerprints ----------------------------------------------------
 
     def fingerprint_of(self, row: tuple) -> tuple | None:
-        """The row's fingerprint tuple, or None if undefined everywhere.
+        """The row's fingerprint tuple (one :func:`fingerprint_key`
+        per environment), or None if undefined everywhere.
 
         All-undefined terms (e.g. ``(sqrt -1)``-like) carry no usable
         signal and are discarded by enumeration.
         """
-        fingerprint = []
-        any_defined = False
         for value in row:
-            if value is UNDEFINED:
-                fingerprint.append("undef")
-            else:
-                any_defined = True
-                fingerprint.append(_fingerprint_value(value))
-        if not any_defined:
-            return None
-        return tuple(fingerprint)
+            if value is not UNDEFINED:
+                return tuple(map(fingerprint_key, row))
+        return None
 
     def intern(self, fingerprint: tuple) -> int:
         """The small-int id of ``fingerprint`` (stable per evaluator).

@@ -9,20 +9,44 @@ candidate.  Both are kept verbatim (minus the perf counters and the
 deadline, which no differential test sets) so
 ``tests/test_cvec_differential.py`` can check that the product
 fingerprints every term identically and enumerates the same pools,
-pairs and counts.
+pairs and counts.  They key values with the product's
+:func:`~repro.ruler.cvec.fingerprint_key`, so their fingerprints
+compare directly with the evaluator's.
+
+``oracle_fingerprint_value`` is how a value was keyed before
+fingerprint keys became exact integers and tagged integer triples:
+integral values as ``Fraction``, other rationals as themselves, floats
+rounded to 9 places.  ``tests/test_fingerprint_keys.py`` checks that
+the product's keys are equal exactly when these are.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from repro.interp.interpreter import Interpreter
 from repro.interp.value import UNDEFINED
 from repro.isa.spec import IsaSpec
 from repro.lang import term as T
 from repro.lang.term import Term
-from repro.ruler.cvec import CvecSpec, _fingerprint_value
+from repro.ruler.cvec import CvecSpec, fingerprint_key
 from repro.ruler.enumerate import EnumerationResult, _atoms, _compositions
+
+
+def oracle_fingerprint_value(value):
+    """A hashable, float-noise-tolerant key for one value."""
+    if value is UNDEFINED:
+        return "undef"
+    if isinstance(value, float):
+        if value == 0.0:
+            return Fraction(0)
+        return round(value, 9)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return Fraction(value)  # normalize int-valued entries
+    if isinstance(value, int):
+        return Fraction(value)
+    return value
 
 
 def cvec_of(
@@ -39,7 +63,7 @@ def cvec_of(
         value = interpreter.evaluate(term, env)
         if value is not UNDEFINED:
             any_defined = True
-        values.append(_fingerprint_value(value))
+        values.append(fingerprint_key(value))
     if not any_defined:
         return None
     return tuple(values)

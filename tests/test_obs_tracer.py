@@ -1,6 +1,10 @@
 """The tracing subsystem: spans, sinks, env wiring, zero-cost-off."""
 
+import gc
 import json
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -38,6 +42,35 @@ class TestEnvWiring:
         tracer = tracer_from_env(str(path))
         assert isinstance(tracer.sink, JsonlFileSink)
         assert tracer.sink.path == path
+
+    def test_switching_trace_files_closes_the_old_one(
+        self, monkeypatch, tmp_path
+    ):
+        # An unclosed file warns when collected; under the "error"
+        # filter that warning reaches sys.unraisablehook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        paths = [tmp_path / "one.jsonl", tmp_path / "two.jsonl"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            tracers = []
+            for path in paths + paths:
+                monkeypatch.setenv("REPRO_TRACE", str(path))
+                tracer = current_tracer()
+                with tracer.span("step"):
+                    pass
+                tracers.append(tracer)
+            monkeypatch.delenv("REPRO_TRACE")
+            assert current_tracer() is NULL_TRACER
+            assert all(t.sink._file is None for t in tracers)
+            del tracers, tracer
+            gc.collect()
+        assert unraisable == []
+        for path in paths:
+            lines = path.read_text().splitlines()
+            assert [json.loads(line)["name"] for line in lines] == [
+                "step", "step",
+            ]
 
     def test_current_tracer_follows_env_changes(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE", "0")
@@ -155,6 +188,52 @@ class TestJsonlFileSink:
         tracer2.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["name"] for e in events] == ["a", "b"]
+
+    def test_close_racing_emits_loses_no_line(self, tmp_path):
+        # Spans finish on worker threads while another thread closes
+        # the sink (as a REPRO_TRACE switch does): each emit reopens the
+        # file if needed and writes its whole line.
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlFileSink(path)
+        n_threads, n_events = 4, 200
+        errors = []
+        done = threading.Event()
+
+        def emitter(worker):
+            try:
+                for i in range(n_events):
+                    sink.emit({"name": "s", "worker": worker, "i": i})
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def closer():
+            while not done.is_set():
+                sink.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            closing = threading.Thread(target=closer)
+            closing.start()
+            workers = [
+                threading.Thread(target=emitter, args=(w,))
+                for w in range(n_threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            done.set()
+            closing.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        sink.close()
+        assert not any(w.is_alive() for w in workers + [closing])
+        assert errors == []
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted((e["worker"], e["i"]) for e in events) == [
+            (w, i) for w in range(n_threads) for i in range(n_events)
+        ]
 
 
 class TestPipelineIntegration:

@@ -59,6 +59,26 @@ class TestGetEdgeCases:
         term = B.get("buffer", 12345)
         assert parse(to_sexpr(term)) is term
 
+    def test_integral_index_spellings_name_one_leaf(self):
+        leaf = parse("(Get a 1)")
+        assert leaf.payload == ("a", 1)
+        assert parse("(Get a 1.0)") is leaf
+        assert parse("(Get a 1e0)") is leaf
+        assert parse("(Get a 2.0)") is parse("(Get a 2)")
+
+    @pytest.mark.parametrize("index", ["1.5", "-0.25", "1e-3", "nan", "inf"])
+    def test_non_integral_index_is_rejected(self, index):
+        # Truncating would read another element: (Get a 1.5) is not a[1].
+        with pytest.raises(ParseError, match="Get index must be an integer"):
+            parse(f"(Get a {index})")
+        with pytest.raises(ParseError):
+            parse(f"(List (Vec (Get a 0) (Get a {index})))")
+
+    def test_builder_rejects_non_integral_index(self):
+        assert B.get("a", 3.0) is B.get("a", 3)
+        with pytest.raises(ValueError):
+            B.get("a", 1.5)
+
 
 class TestPrinterEdges:
     def test_zero_arg_compound(self):

@@ -1030,6 +1030,28 @@ class TestRequestPath:
         assert service.compiled == 0
         assert not list(registry.results_dir.glob("*.json"))
 
+    def test_fractional_get_index_is_a_protocol_error(self, registry):
+        # Read as a[1], lane 3 would compile against the wrong element.
+        wire = dict(
+            protocol.kernel_to_wire(_vadd()),
+            term="(List (Vec (+ (Get a 0) (Get a 1)) (Get a 2) (Get a 3) "
+                 "(Get a 1.5)))",
+            arrays={"a": 4},
+        )
+
+        async def body(service, client):
+            with pytest.raises(ServiceError) as failed:
+                await client.request(_compile_msg(wire, _quick_options()))
+            return failed.value, service
+
+        error, service = _run_with_service(
+            registry, body, request_timeout=5.0
+        )
+        assert error.kind == "protocol"
+        assert "Get index must be an integer, got 1.5" in error.message
+        assert service.compiled == 0
+        assert not list(registry.results_dir.glob("*.json"))
+
     def test_bad_fields_are_protocol_errors_before_the_isa(self, registry):
         wire = protocol.kernel_to_wire(_vadd())
         no_arrays = {k: v for k, v in wire.items() if k != "arrays"}
