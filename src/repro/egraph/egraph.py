@@ -17,7 +17,7 @@ from repro.egraph.compile_pattern import (
     compile_rhs,
 )
 from repro.egraph.unionfind import UnionFind
-from repro.lang.term import Term
+from repro.lang.term import Term, fold_term
 
 # (op, payload, child class ids)
 ENode = tuple
@@ -177,8 +177,6 @@ class EGraph:
         Iterative and memoized over the term DAG, so heavily shared
         kernels (QR) insert in time proportional to their DAG size.
         """
-        from repro.lang.term import fold_term
-
         return fold_term(
             term,
             lambda t, child_ids: self.add_enode(t.op, t.payload, child_ids),
@@ -389,13 +387,21 @@ class EGraph:
         return self._uf.find(a) == self._uf.find(b)
 
     def lookup_term(self, term: Term) -> int | None:
-        """Class id of ``term`` if it is represented, else None."""
-        children = []
-        for arg in term.args:
-            child = self.lookup_term(arg)
-            if child is None:
+        """Class id of ``term`` if it is represented, else None.
+
+        Folds over the term DAG (:func:`~repro.lang.term.fold_term`):
+        iterative, and each distinct subterm is looked up once however
+        often the tree repeats it.
+        """
+        hashcons = self._hashcons
+        find = self._uf.find
+
+        def lookup(t: Term, children: tuple) -> int | None:
+            if None in children:
                 return None
-            children.append(child)
-        node = (term.op, term.payload, tuple(children))
-        found = self._hashcons.get(self.canonicalize(node))
-        return self._uf.find(found) if found is not None else None
+            found = hashcons.get(
+                self.canonicalize((t.op, t.payload, children))
+            )
+            return find(found) if found is not None else None
+
+        return fold_term(term, lookup)

@@ -5,6 +5,9 @@ pairs to scalar values.  Rule synthesis needs many environments per
 term; :func:`sample_envs` mixes structured corner cases (zeros, ones,
 negatives — the inputs that expose unsound identities) with seeded
 random values, mirroring Ruler's characteristic-vector inputs.
+
+Exact values are rationals bound as :func:`~repro.interp.value.exact_value`
+gives them: an ``int`` when integral, a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from repro.interp.value import exact_value
 from repro.lang import term as T
 from repro.lang.term import Term
 
@@ -42,15 +46,10 @@ def term_inputs(term: Term) -> tuple:
 
 
 # Corner values that expose the classic unsound candidates: absorbing
-# zeros, identity ones, sign flips, and a non-unit magnitude.
-CORNER_VALUES: tuple[Fraction, ...] = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-3),
-    Fraction(1, 2),
-)
+# zeros, identity ones, sign flips, a non-unit magnitude and a
+# non-integral rational.  The integral ones are ``int``s, so arithmetic
+# on them stays in C; only ``1/2`` is a ``Fraction``.
+CORNER_VALUES: tuple[int | Fraction, ...] = (0, 1, -1, 2, -3, Fraction(1, 2))
 
 
 def random_env(
@@ -58,15 +57,17 @@ def random_env(
 ) -> Env:
     """One random environment for the given input atoms.
 
-    With ``exact`` (the default) values are small random Fractions so
-    arithmetic identities can be checked without float noise.
+    With ``exact`` (the default) values are small random rationals so
+    arithmetic identities can be checked without float noise: an
+    ``int`` when the draw is integral (about two in three), else a
+    ``Fraction``.
     """
     env: Env = {}
     for atom in inputs:
         if exact:
             num = rng.randint(-8, 8)
             den = rng.choice((1, 1, 1, 2, 3, 4))
-            env[atom] = Fraction(num, den)
+            env[atom] = exact_value(Fraction(num, den))
         else:
             env[atom] = rng.uniform(-10.0, 10.0)
     return env

@@ -2,7 +2,11 @@
 
 A value is one of:
 
-- a *scalar*: an ``int``, ``float``, or ``fractions.Fraction``;
+- a *scalar*: an ``int``, ``float``, or ``fractions.Fraction``.  An
+  exact rational is an ``int`` when it is integral and a ``Fraction``
+  only when it is not (:func:`exact_value`): that is how every sample
+  grid binds its values, so integer arithmetic, the common case, runs
+  in C rather than through ``Fraction``'s pure-Python operators;
 - a *vector*: a tuple of scalars (one per lane);
 - :data:`UNDEFINED`: the result of an undefined operation (division by
   zero, square root of a negative).
@@ -61,6 +65,12 @@ def is_scalar(value: Value) -> bool:
 def is_vector(value: Value) -> bool:
     """True for vector values (tuples of lanes)."""
     return isinstance(value, tuple)
+
+
+def exact_value(value: Fraction) -> int | Fraction:
+    """``value`` as an exact scalar: its numerator ``int`` when it is
+    integral, else the ``Fraction`` itself."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _scalars_equal(a: Scalar, b: Scalar) -> bool:

@@ -46,6 +46,11 @@ def _mul(a, b):
 def _div(a, b):
     if b == 0:
         return None
+    # Exact samples are ints unless they are not integral, so two ints
+    # are the common case: test them before the slow ABC isinstance
+    # checks, and keep an exact quotient an int too.
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return Fraction(a) / Fraction(b)
     if isinstance(a, int) and isinstance(b, int):

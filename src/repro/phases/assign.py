@@ -54,12 +54,22 @@ def aggregate_cost(model: CostModel, rule: Rewrite) -> float:
 
 
 def assign_phase(
-    model: CostModel, rule: Rewrite, params: PhaseParams
+    model: CostModel,
+    rule: Rewrite,
+    params: PhaseParams,
+    costs: tuple[float, float] | None = None,
 ) -> Phase:
-    """The paper's two-step assignment."""
-    if cost_differential(model, rule) > params.alpha:
+    """The paper's two-step assignment.
+
+    ``costs`` is ``(C(lhs), C(rhs))`` when the caller has already
+    computed them; otherwise they are computed here.
+    """
+    lhs_cost, rhs_cost = costs or (
+        model.term_cost(rule.lhs), model.term_cost(rule.rhs)
+    )
+    if lhs_cost - rhs_cost > params.alpha:
         return Phase.COMPILATION
-    if aggregate_cost(model, rule) > params.beta:
+    if lhs_cost + rhs_cost > params.beta:
         return Phase.EXPANSION
     return Phase.OPTIMIZATION
 
@@ -101,46 +111,41 @@ def assign_phases(
     of the cost model alone keeps compile behaviour independent of the
     accidental order synthesis or pruning produced the rules in.
 
+    Each rule's side costs ``C(lhs)`` and ``C(rhs)`` are computed
+    once, and serve both the α/β test and the sort key.
+
     When tracing is enabled (see :mod:`repro.obs`) emits an
     ``assign_phases`` span with the α/β thresholds and the rule count
     that landed in each phase.
     """
+    from repro.lang.term import term_size
+
     with current_tracer().span(
         "assign_phases", n_rules=len(rules),
         alpha=params.alpha, beta=params.beta,
     ) as span:
-        expansion: list[Rewrite] = []
-        compilation: list[Rewrite] = []
-        optimization: list[Rewrite] = []
+        # Per phase: (sort key, rule), the key being (-CD, size, name).
+        keyed: dict[Phase, list] = {phase: [] for phase in Phase}
         for rule in rules:
-            phase = assign_phase(model, rule, params)
-            if phase is Phase.COMPILATION:
-                compilation.append(rule)
-            elif phase is Phase.EXPANSION:
-                expansion.append(rule)
-            else:
-                optimization.append(rule)
+            costs = model.term_cost(rule.lhs), model.term_cost(rule.rhs)
+            key = (-(costs[0] - costs[1]), term_size(rule.lhs), rule.name)
+            keyed[assign_phase(model, rule, params, costs)].append(
+                (key, rule)
+            )
         span.add(
-            n_expansion=len(expansion),
-            n_compilation=len(compilation),
-            n_optimization=len(optimization),
+            n_expansion=len(keyed[Phase.EXPANSION]),
+            n_compilation=len(keyed[Phase.COMPILATION]),
+            n_optimization=len(keyed[Phase.OPTIMIZATION]),
         )
 
-    def canonical(phase_rules: list[Rewrite]) -> tuple[Rewrite, ...]:
-        from repro.lang.term import term_size
-
-        return tuple(sorted(
-            phase_rules,
-            key=lambda r: (
-                -cost_differential(model, r),
-                term_size(r.lhs),
-                r.name,
-            ),
+    def canonical(phase: Phase) -> tuple[Rewrite, ...]:
+        return tuple(rule for _key, rule in sorted(
+            keyed[phase], key=lambda pair: pair[0]
         ))
 
     return PhasedRuleSet(
-        expansion=canonical(expansion),
-        compilation=canonical(compilation),
-        optimization=canonical(optimization),
+        expansion=canonical(Phase.EXPANSION),
+        compilation=canonical(Phase.COMPILATION),
+        optimization=canonical(Phase.OPTIMIZATION),
         params=params,
     )

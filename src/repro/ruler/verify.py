@@ -12,7 +12,9 @@ we get equivalent assurance from two mechanisms:
   ops): both sides are evaluated on corner-case and random rational
   inputs and must agree exactly — *including* where they are undefined,
   so definedness-changing candidates like ``(/ (* a b) b) ~> a`` are
-  rejected.
+  rejected.  Every grid binds an integral sample as an ``int`` and
+  keeps ``Fraction`` for the others
+  (:func:`~repro.interp.value.exact_value`).
 
 Candidates have already passed cvec filtering, so verification runs on
 a disjoint, larger input set (different seed, more samples).
@@ -40,7 +42,7 @@ from random import Random
 
 from repro.interp.env import CORNER_VALUES
 from repro.interp.interpreter import Interpreter
-from repro.interp.value import UNDEFINED, values_equal
+from repro.interp.value import UNDEFINED, exact_value, values_equal
 from repro.isa.spec import IsaSpec
 from repro.lang import term as T
 from repro.lang.pattern import wildcards_of
@@ -324,7 +326,7 @@ def verify_rule(
 def definedness_corners(lhs: Term, rhs: Term) -> tuple:
     """The corner values a rationally-equal rule's grid adds: each
     constant ``c`` of the rule and ``-c``, sorted, minus the standard
-    corners.
+    corners (an ``int`` for an integral constant, else a ``Fraction``).
 
     Such a rule's sides can only disagree where a denominator
     vanishes, and a denominator like ``(- ?b 4)`` or ``(+ ?b 5)``
@@ -336,7 +338,7 @@ def definedness_corners(lhs: Term, rhs: Term) -> tuple:
     for side in (lhs, rhs):
         for sub in T.subterms(side):
             if T.is_const(sub):
-                value = Fraction(sub.payload)
+                value = exact_value(Fraction(sub.payload))
                 values.update((value, -value))
     return tuple(sorted(values.difference(CORNER_VALUES)))
 
@@ -354,8 +356,10 @@ def _full_width_signature(lhs: Term, rhs: Term, spec: IsaSpec) -> tuple:
     return names, kinds, tuple(kinds.get(name) == "vector" for name in names)
 
 
-def _random_lane(rng) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+def _random_lane(rng) -> int | Fraction:
+    """One random full-width lane: a small rational, an ``int`` when
+    the draw is integral (as every grid binds its exact values)."""
+    return exact_value(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))))
 
 
 def _vector_envs(
@@ -437,7 +441,7 @@ def _projection_envs(
 ) -> list:
     """The masked re-check's grid: random lanes, with every lane past
     the environment's active prefix scrambled with out-of-distribution
-    junk."""
+    junk (a random ``int`` in [-97, 97])."""
     rng = Random(seed ^ 0x6D61736B)  # "mask"
     envs = []
     for active in actives:
@@ -446,7 +450,7 @@ def _projection_envs(
             if vector:
                 lanes = [_random_lane(rng) for _ in range(width)]
                 for lane in range(active, width):
-                    lanes[lane] = Fraction(rng.randint(-97, 97))
+                    lanes[lane] = rng.randint(-97, 97)
                 env[name] = tuple(lanes)
             else:
                 env[name] = _random_lane(rng)

@@ -12,8 +12,10 @@ import pytest
 
 from repro.compiler.compile import CompileOptions
 from repro.core import IsariaFramework
+from repro.core.pregen import family_compiler
 from repro.egraph.runner import RunnerLimits
 from repro.isa import fusion_g3_spec
+from repro.isa.families import isa_family
 from repro.phases import CostModel
 from repro.ruler import SynthesisConfig, synthesize_rules
 
@@ -63,3 +65,19 @@ def isaria_compiler(spec):
         compile_options=fast_compile_options(),
     )
     return framework.generate_compiler()
+
+
+@pytest.fixture(scope="session")
+def family_compilers():
+    """``get(family, width)``: the bundled family's compiler at
+    ``width`` (:func:`~repro.core.pregen.family_compiler` on its spec),
+    bootstrapped once per session however many modules ask for it."""
+    built: dict = {}
+
+    def get(family: str, width: int):
+        key = (family, width)
+        if key not in built:
+            built[key] = family_compiler(isa_family(family).spec(width))
+        return built[key]
+
+    return get

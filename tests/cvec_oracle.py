@@ -18,13 +18,23 @@ fingerprint keys became exact integers and tagged integer triples:
 integral values as ``Fraction``, other rationals as themselves, floats
 rounded to 9 places.  ``tests/test_fingerprint_keys.py`` checks that
 the product's keys are equal exactly when these are.
+
+``oracle_sample_envs``, ``oracle_vector_envs`` and
+``oracle_projection_envs`` draw the synthesis and verification grids
+as they were drawn before integral samples became ``int``s: the same
+RNG calls in the same order, every exact value a ``Fraction``.
+``tests/test_integral_samples.py`` checks that the product's grids
+hold the same numbers and that terms evaluate to the same values on
+both.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
+from repro.interp.env import corner_envs
 from repro.interp.interpreter import Interpreter
 from repro.interp.value import UNDEFINED
 from repro.isa.spec import IsaSpec
@@ -115,3 +125,71 @@ def oracle_enumerate_terms(
                     elif rep != term:
                         result.pairs.append((rep, term))
     return result
+
+
+ORACLE_CORNER_VALUES = (
+    Fraction(0),
+    Fraction(1),
+    Fraction(-1),
+    Fraction(2),
+    Fraction(-3),
+    Fraction(1, 2),
+)
+
+
+def oracle_sample_envs(
+    inputs, n_random: int = 24, seed: int = 0, corner_limit: int = 64,
+    corner_values=ORACLE_CORNER_VALUES,
+) -> list:
+    """``sample_envs`` with every value a ``Fraction``."""
+    rng = random.Random(seed)
+    envs = corner_envs(inputs, limit=corner_limit, values=corner_values)
+    for _ in range(n_random):
+        env = {}
+        for atom in inputs:
+            num = rng.randint(-8, 8)
+            den = rng.choice((1, 1, 1, 2, 3, 4))
+            env[atom] = Fraction(num, den)
+        envs.append(env)
+    return envs
+
+
+def _oracle_lane(rng) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+
+def oracle_vector_envs(
+    names: tuple, vectors: tuple, width: int, n_samples: int, seed: int
+) -> list:
+    """The full-width check's grid with every value a ``Fraction``."""
+    rng = random.Random(seed)
+    envs = []
+    for _ in range(n_samples):
+        env = {}
+        for name, vector in zip(names, vectors):
+            if vector:
+                env[name] = tuple(_oracle_lane(rng) for _ in range(width))
+            else:
+                env[name] = _oracle_lane(rng)
+        envs.append(env)
+    return envs
+
+
+def oracle_projection_envs(
+    names: tuple, vectors: tuple, width: int, seed: int, actives: list
+) -> list:
+    """The masked re-check's grid with every value a ``Fraction``."""
+    rng = random.Random(seed ^ 0x6D61736B)  # "mask"
+    envs = []
+    for active in actives:
+        env = {}
+        for name, vector in zip(names, vectors):
+            if vector:
+                lanes = [_oracle_lane(rng) for _ in range(width)]
+                for lane in range(active, width):
+                    lanes[lane] = Fraction(rng.randint(-97, 97))
+                env[name] = tuple(lanes)
+            else:
+                env[name] = _oracle_lane(rng)
+        envs.append(env)
+    return envs

@@ -12,6 +12,11 @@ same rules, names, order, verdicts and counterexample strings on
 every input.  ``serial=True`` runs either verifier on the
 per-environment fuzz loop alone, the path a rule side takes when its
 batched rows raise.
+
+Its sample draws follow the product's: an integral draw is bound as
+an ``int`` and only a non-integral one as a ``Fraction``, so the
+counterexample strings the parity tests compare print the same values
+(``cvec_oracle`` keeps the all-``Fraction`` draws).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from repro.egraph.rewrite import Rewrite
 from repro.interp.env import CORNER_VALUES, sample_envs
 from repro.interp.interpreter import EvalError, Interpreter
-from repro.interp.value import UNDEFINED, values_equal
+from repro.interp.value import UNDEFINED, exact_value, values_equal
 from repro.isa.spec import IsaSpec
 from repro.lang import term as T
 from repro.lang.pattern import wildcards_of
@@ -301,13 +306,15 @@ def oracle_verify_vector_rule(
         for name in names:
             if kinds.get(name) == "vector":
                 env[name] = tuple(
-                    Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                    exact_value(
+                        Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                    )
                     for _ in range(width)
                 )
             else:
-                env[name] = Fraction(
+                env[name] = exact_value(Fraction(
                     rng.randint(-6, 6), rng.choice((1, 2, 3))
-                )
+                ))
         envs.append(env)
 
     rows = None
@@ -382,16 +389,18 @@ def oracle_masked_projection(
             for name in names:
                 if kinds.get(name) == "vector":
                     lanes = [
-                        Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                        exact_value(Fraction(
+                            rng.randint(-6, 6), rng.choice((1, 2, 3))
+                        ))
                         for _ in range(width)
                     ]
                     for lane in range(active, width):
-                        lanes[lane] = Fraction(rng.randint(-97, 97))
+                        lanes[lane] = rng.randint(-97, 97)
                     env[name] = tuple(lanes)
                 else:
-                    env[name] = Fraction(
+                    env[name] = exact_value(Fraction(
                         rng.randint(-6, 6), rng.choice((1, 2, 3))
-                    )
+                    ))
             left = interpreter.evaluate(lhs_term, env)
             right = interpreter.evaluate(rhs_term, env)
             if left is UNDEFINED or right is UNDEFINED:

@@ -122,6 +122,33 @@ class TestLookup:
             parse("(+ b a)")
         )
 
+    def test_lookup_absent_child(self):
+        g = EGraph()
+        g.add_term(parse("(+ a b)"))
+        assert g.lookup_term(parse("(+ (+ a b) (neg c))")) is None
+
+    def test_lookup_visits_each_distinct_subterm_once(self):
+        # qr-3x3's term has 108 distinct subterms but 16,427 tree
+        # nodes: a walk over the tree would canonicalize one node per
+        # tree node.
+        from repro.kernels.suite import suite_by_key
+        from repro.lang.term import subterms, term_size
+
+        term = suite_by_key(width=4)["qr-3x3"].program.term
+        g = EGraph()
+        root = g.add_term(term)
+        g.rebuild()
+        calls = []
+        canonicalize = g.canonicalize
+        g.canonicalize = lambda node: calls.append(node) or canonicalize(
+            node
+        )
+        assert g.lookup_term(term) == g.find(root)
+        distinct = set(subterms(term))
+        assert term_size(term) > 100 * len(distinct)
+        assert len(calls) == len(distinct)
+        assert len(set(calls)) == len(distinct)
+
 
 class TestInstantiation:
     def test_add_instantiation_binds_classes(self):

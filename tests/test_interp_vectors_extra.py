@@ -73,7 +73,17 @@ class TestEnvHelpers:
         import random
 
         env = random_env(("a", "b"), random.Random(1))
-        assert all(isinstance(v, Fraction) for v in env.values())
+        assert all(type(v) in (int, Fraction) for v in env.values())
+        # An integral draw is bound as an int, never as a Fraction.
+        values = [
+            v
+            for seed in range(20)
+            for v in random_env(("a", "b"), random.Random(seed)).values()
+        ]
+        assert all(
+            type(v) is int or v.denominator != 1 for v in values
+        )
+        assert any(type(v) is int for v in values)
 
     def test_random_env_float_mode(self):
         import random

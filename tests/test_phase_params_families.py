@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pregen import family_compiler
 from repro.isa.families import isa_family
 from repro.phases.assign import default_params
 
@@ -22,21 +21,13 @@ _CELLS = [
     ("avx-like", 4),
     ("avx-like", 8),
 ]
-_BUILT: dict = {}
-
-
-def _compiler(family: str, width: int):
-    key = (family, width)
-    if key not in _BUILT:
-        _BUILT[key] = family_compiler(isa_family(family).spec(width))
-    return _BUILT[key]
 
 
 @pytest.mark.parametrize(
     "family,width", _CELLS, ids=lambda v: str(v)
 )
-def test_phase_split_is_non_degenerate(family, width):
-    compiler = _compiler(family, width)
+def test_phase_split_is_non_degenerate(family, width, family_compilers):
+    compiler = family_compilers(family, width)
     counts = compiler.ruleset.counts()
     for phase, count in counts.items():
         assert count > 0, (
@@ -48,13 +39,13 @@ def test_phase_split_is_non_degenerate(family, width):
 @pytest.mark.parametrize(
     "family,width", _CELLS, ids=lambda v: str(v)
 )
-def test_alpha_isolates_vector_transitions(family, width):
+def test_alpha_isolates_vector_transitions(family, width, family_compilers):
     # α's job: compilation is where the scalar→vector transitions
     # live.  A handful of deeply lopsided scalar identities (erasing
     # three ops, e.g. ``(/ (neg ?x) (neg 1)) => ?x``) legitimately
     # clear the bar too, so assert the overwhelming share rather than
     # exclusivity.
-    compiler = _compiler(family, width)
+    compiler = family_compilers(family, width)
     compilation = compiler.ruleset.compilation
     vector = [
         rule for rule in compilation
