@@ -1,11 +1,12 @@
 """Process-parallel map with deterministic ordering and serial fallback.
 
-``parallel_map`` is the repo's one fan-out primitive: the bench
-harness uses it to compile/measure kernels concurrently, rule
-synthesis uses it to verify candidate rules concurrently, and
-``compile_many`` fans one whole-kernel compile per task through
-``parallel_starmap``.  The contract is strict so callers never have
-to reason about parallelism:
+``parallel_map`` is the repo's one fan-out primitive, and every task
+it runs compiles a whole kernel: the bench harness
+(``run_suite(jobs=)``), ``compile_many(jobs=)`` and the compile
+service's pool each fan one kernel per task through
+``parallel_starmap``.  Rule synthesis runs in one process.  The
+contract is strict so callers never have to reason about
+parallelism:
 
 - **Deterministic ordering**: results always come back in input order,
   regardless of completion order.

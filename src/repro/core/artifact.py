@@ -14,15 +14,14 @@ without re-running either ``synthesize_rules`` or ``assign_phases``.
 Artifacts are keyed by a **semantics-aware fingerprint**: each
 instruction's ``lane_fn`` is evaluated on a fixed grid of probe inputs
 and the results are hashed, so editing an instruction's *behaviour* (a
-§5.4 customization) misses the cache even when its name, arity, and
+§5.4 customization) changes the key even when its name, arity, and
 cost are unchanged.
 
-Every on-disk layer (this module's artifact cache and the service
-registry) shares one corrupt-entry policy, :func:`corrupt_entry_miss`:
-a truncated or garbled entry is a tracer-logged miss followed by a
-clean rebuild, never an error.
-
-Build, inspect, and use artifacts from the command line with
+An artifact lives where :meth:`CompilerArtifact.save` puts it:
+``repro-artifact build -o`` writes one file, and the compile
+service's registry (:class:`~repro.service.registry.ArtifactRegistry`)
+publishes, finds and validates them by semantics hash.  Build,
+inspect, and use artifacts from the command line with
 ``repro-artifact`` (``python -m repro.tools.artifact_cli``).
 """
 
@@ -42,7 +41,6 @@ from repro.compiler.compile import CompileOptions
 from repro.egraph.rewrite import Rewrite, parse_rewrite
 from repro.egraph.runner import RunnerLimits
 from repro.isa.spec import Instruction, IsaSpec
-from repro.obs import current_tracer
 from repro.phases.assign import PhaseParams
 from repro.phases.ruleset import PhasedRuleSet
 from repro.ruler.synthesize import SynthesisConfig, SynthesisResult
@@ -62,7 +60,7 @@ _SUPPORTED_VERSIONS = (2, ARTIFACT_VERSION)
 # Version folded into the semantics fingerprint.  Deliberately *not*
 # ARTIFACT_VERSION: v3 only added an optional field, so v2 artifacts
 # must keep matching their specs.  Bump this (invalidating every
-# cache) only when probed semantics themselves change meaning.
+# artifact) only when probed semantics themselves change meaning.
 _SEMANTICS_VERSION = 2
 
 # Fixed probe grid for the semantics hash.  The values exercise sign,
@@ -163,7 +161,7 @@ def spec_fingerprint(spec: IsaSpec, config: SynthesisConfig) -> str:
 def artifact_fingerprint(
     spec: IsaSpec, config: SynthesisConfig, params: PhaseParams
 ) -> str:
-    """Cache key for a full artifact: spec semantics + config + α/β.
+    """Identity of a full artifact: spec semantics + config + α/β.
 
     Phase parameters are part of the offline product (they decide the
     per-phase rule membership the artifact persists), so two artifacts
@@ -175,7 +173,7 @@ def artifact_fingerprint(
 
 
 # ---------------------------------------------------------------------------
-# flat rule text (the legacy cache format, still used by pregen data)
+# flat rule text (the format of the pregenerated rule files)
 # ---------------------------------------------------------------------------
 
 
@@ -271,7 +269,7 @@ class CompilerArtifact:
     to assign it, the cost-model parameters, default compile options,
     and provenance of the synthesis run.  ``spec_hash`` ties the
     artifact to the *semantics* of the ISA it was built from;
-    ``fingerprint`` is the cache key (spec + synthesis config + α/β).
+    ``fingerprint`` identifies it (spec + synthesis config + α/β).
     """
 
     isa_name: str
@@ -503,24 +501,8 @@ class CompilerArtifact:
 
 
 # ---------------------------------------------------------------------------
-# the on-disk artifact cache
+# atomic writes
 # ---------------------------------------------------------------------------
-
-
-def corrupt_entry_miss(layer: str, path, error) -> None:
-    """Record a corrupt/truncated on-disk cache entry as a **miss**.
-
-    The single implementation of the repo-wide recovery policy: a bad
-    entry is reported through the tracer as ``<layer>.corrupt``
-    (carrying the file path and the parse error) and the caller
-    rebuilds the value cleanly, overwriting the entry — a corrupt file
-    must never surface as an exception or a wrong answer.  ``layer``
-    is the cache's trace-event namespace (``artifact_cache``,
-    ``registry``).
-    """
-    current_tracer().record(
-        f"{layer}.corrupt", 0.0, path=str(path), error=str(error)
-    )
 
 
 _tmp_counter = itertools.count()
@@ -536,8 +518,8 @@ def _tmp_suffix() -> str:
 def write_atomic(path: Path | str, text: str) -> Path:
     """Write ``text`` to ``path`` through a temp file and a rename.
 
-    The one writer of every on-disk entry (artifacts, the artifact
-    cache, the service registry's artifacts and results): a reader
+    The one writer of every on-disk entry (artifact files and the
+    service registry's artifacts and results): a reader
     sees the old file or the new one, never a torn one, even when the
     writer crashes or another writes the same path at once.  Parents
     are created; returns ``path``.
@@ -552,65 +534,3 @@ def write_atomic(path: Path | str, text: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-def default_cache_dir() -> Path:
-    """Cache directory (``REPRO_RULE_CACHE`` overrides the default)."""
-    env = os.environ.get("REPRO_RULE_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-isaria"
-
-
-def artifact_cache_path(
-    spec: IsaSpec,
-    config: SynthesisConfig,
-    params: PhaseParams,
-    cache_dir: Path | None = None,
-) -> Path:
-    """Where the artifact for this offline configuration lives."""
-    cache_dir = cache_dir or default_cache_dir()
-    fp = artifact_fingerprint(spec, config, params)
-    return cache_dir / f"artifact-{fp}.json"
-
-
-def load_cached_artifact(
-    spec: IsaSpec,
-    config: SynthesisConfig,
-    params: PhaseParams,
-    cache_dir: Path | None = None,
-) -> CompilerArtifact | None:
-    """The cached artifact for this configuration, or None.
-
-    A corrupt or truncated artifact file is treated as a **miss** (and
-    reported through the tracer), never an error: the caller simply
-    re-runs the offline stage and overwrites it.
-    """
-    path = artifact_cache_path(spec, config, params, cache_dir)
-    if not path.exists():
-        return None
-    try:
-        artifact = CompilerArtifact.load(path)
-    except ArtifactError as exc:
-        corrupt_entry_miss("artifact_cache", path, exc)
-        return None
-    if artifact.spec_hash != spec_semantics_hash(spec):
-        # Fingerprint collision or hand-edited file: safer to rebuild.
-        current_tracer().record(
-            "artifact.cache_mismatch", 0.0, path=str(path)
-        )
-        return None
-    return artifact
-
-
-def store_artifact(
-    artifact: CompilerArtifact,
-    spec: IsaSpec,
-    config: SynthesisConfig,
-    cache_dir: Path | None = None,
-) -> Path:
-    """Write ``artifact`` into the cache; returns the file path."""
-    path = artifact_cache_path(
-        spec, config, artifact.ruleset.params, cache_dir
-    )
-    return artifact.save(path)

@@ -269,50 +269,25 @@ class IsariaFramework:
         self.phase_params = phase_params or default_params(spec)
         self.compile_options = compile_options or CompileOptions()
 
-    def generate_compiler(self, cache: bool = False) -> GeneratedCompiler:
+    def generate_compiler(self) -> GeneratedCompiler:
         """Run rule synthesis + phase discovery (paper Fig. 2, offline).
 
-        With ``cache=True`` the *whole* offline product — synthesized
-        rules, their phase assignment, and provenance — is looked up
-        in / stored to the on-disk artifact cache (see
-        :mod:`repro.core.artifact`), keyed by the ISA's probed
-        semantics, the synthesis config, and the phase parameters.  A
-        hit skips both ``synthesize_rules`` and ``assign_phases``,
-        amortizing the offline stage across processes (§5.3's
-        once-per-instruction-set argument made literal); a corrupt
-        cache file is treated as a miss and rebuilt.
+        Every call runs both stages.  To amortize them across
+        processes (§5.3), persist the product with
+        ``compiler.to_artifact(config).save(path)`` and reload it with
+        :meth:`GeneratedCompiler.from_artifact`, or publish it to the
+        compile service with ``ArtifactRegistry.publish``.
         """
-        from repro.core import artifact as artifact_store
-
         with current_tracer().span("generate_compiler") as span:
-            if cache:
-                cached = artifact_store.load_cached_artifact(
-                    self.spec, self.synthesis_config, self.phase_params
-                )
-                if cached is not None:
-                    compiler = GeneratedCompiler.from_artifact(
-                        cached, self.spec, options=self.compile_options
-                    )
-                    span.add(
-                        n_rules=len(compiler.ruleset), cache_hit=True
-                    )
-                    return compiler
             synthesis = synthesize_rules(self.spec, self.synthesis_config)
             ruleset = assign_phases(
                 self.cost_model, synthesis.rules, self.phase_params
             )
-            compiler = GeneratedCompiler(
-                spec=self.spec,
-                cost_model=self.cost_model,
-                ruleset=ruleset,
-                options=self.compile_options,
-                synthesis=synthesis,
-            )
-            if cache:
-                artifact_store.store_artifact(
-                    compiler.to_artifact(config=self.synthesis_config),
-                    self.spec,
-                    self.synthesis_config,
-                )
-            span.add(n_rules=len(ruleset), cache_hit=False)
-        return compiler
+            span.add(n_rules=len(ruleset))
+        return GeneratedCompiler(
+            spec=self.spec,
+            cost_model=self.cost_model,
+            ruleset=ruleset,
+            options=self.compile_options,
+            synthesis=synthesis,
+        )

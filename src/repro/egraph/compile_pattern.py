@@ -1,9 +1,10 @@
 """Compiled rewrites: both sides of a rule as flat programs.
 
-The recursive matcher in :mod:`repro.egraph.ematch` re-interprets the
-pattern *term* on every candidate node: each call re-reads ``.op`` /
-``.args``, re-zips children, and copies a ``dict`` per wildcard
-binding.  That interpretation overhead is pure waste — the pattern is
+A recursive matcher (``RecursiveMatcher``, now kept as an oracle in
+``tests/match_oracle.py``) re-interprets the pattern *term* on every
+candidate node: each call re-reads ``.op`` / ``.args``, re-zips
+children, and copies a ``dict`` per wildcard binding.  That
+interpretation overhead is pure waste — the pattern is
 fixed for the lifetime of a rule — so, in the spirit of egg's
 e-matching virtual machine, we compile each pattern **once** into a
 small program of register-style instructions.  The program is the IR:

@@ -407,8 +407,8 @@ class GridCache:
     raw interpreter values, so a row is the same whichever check
     computes it first.
 
-    A cache belongs to one pass over one interpreter in one process;
-    it is never sent to a worker.  :meth:`clear` frees its rows.
+    A cache belongs to one pass over one interpreter.  :meth:`clear`
+    frees its rows.
     """
 
     __slots__ = ("interpreter", "_evaluators")

@@ -23,10 +23,10 @@ class SynthesisPerf:
     """Counters for the offline synthesis hot path.
 
     Filled in by :mod:`repro.ruler.enumerate` (batched cvec
-    evaluation), :mod:`repro.ruler.verify` (batched fuzzing) and
-    :mod:`repro.ruler.minimize` (cvec screening); merged across
-    enumeration shards and verify chunks with
-    :func:`repro.obs.merge_counters`.
+    evaluation), :mod:`repro.ruler.verify` (batched fuzzing),
+    :mod:`repro.ruler.minimize` (cvec screening) and
+    :mod:`repro.ruler.cost_prune`; one synthesis run passes one block
+    to every stage.
     """
 
     # Batched-evaluator counters (see repro.ruler.cvec.CvecEvaluator).
@@ -36,7 +36,6 @@ class SynthesisPerf:
     fingerprint_collisions: int = 0  # interned fingerprint seen before
     interned_fingerprints: int = 0   # distinct fingerprints interned
     # Pipeline-stage counters.
-    enumeration_shards: int = 0   # parallel shards of the largest size
     verify_batched_terms: int = 0  # rule sides evaluated batched
     # Rule sides whose batched rows raised, so they fell back to one
     # tree walk per environment (see repro.ruler.cvec.side_values).

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.egraph.rewrite import Rewrite
 from repro.isa.spec import IsaSpec
-from repro.obs import current_tracer, merge_counters
+from repro.obs import current_tracer
 from repro.ruler.candidates import candidate_rules
 from repro.ruler.cost_prune import cost_prune_rules
 from repro.ruler.cvec import CvecSpec, GridCache
@@ -24,51 +24,6 @@ from repro.ruler.lanes import GeneralizationReport, generalize_rules
 from repro.ruler.minimize import minimize_rules
 from repro.ruler.stats import SynthesisPerf
 from repro.ruler.verify import verify_rule
-
-# Candidate-verification fan-out: below this many candidates a process
-# pool is pure overhead, so verification stays serial (and keeps the
-# historical per-candidate deadline granularity).
-_PARALLEL_VERIFY_MIN = 64
-
-
-class _VerifyTask:
-    """Picklable soundness check of a candidate chunk.
-
-    Chunked so each worker reports one perf-counter block per fan-out
-    (merged back into the run's :class:`SynthesisPerf`) instead of
-    shipping counters per rule.  A chunk's checks share sample grids
-    per signature through ``grids``: the serial path passes one
-    :class:`GridCache` for the whole stage, and each worker chunk
-    builds its own.  The task never holds a cache, so pickling it for
-    a worker ships the spec and two numbers, not every cached row.
-    """
-
-    __slots__ = ("_spec", "_n_samples", "_seed")
-
-    def __init__(self, spec: IsaSpec, n_samples: int, seed: int):
-        self._spec = spec
-        self._n_samples = n_samples
-        self._seed = seed
-
-    def __call__(
-        self, rules: tuple, grids: GridCache | None = None
-    ) -> tuple[list[bool], SynthesisPerf]:
-        perf = SynthesisPerf()
-        if grids is None:
-            grids = GridCache(self._spec.interpreter())
-        oks = [
-            verify_rule(
-                rule.lhs,
-                rule.rhs,
-                self._spec,
-                n_samples=self._n_samples,
-                seed=self._seed,
-                perf=perf,
-                grids=grids,
-            ).ok
-            for rule in rules
-        ]
-        return oks, perf
 
 
 @dataclass(frozen=True)
@@ -93,10 +48,6 @@ class SynthesisConfig:
     # the interesting rules need size-6 terms that are intractable to
     # enumerate over the full instruction set.
     op_allowlist: tuple | None = None
-    # Sharding of the largest enumeration size across worker
-    # processes: None = automatic, 1 = forbid, >1 = force with at most
-    # that many workers (see ``enumerate_terms``).
-    enumeration_jobs: int | None = None
 
     @staticmethod
     def budgeted(seconds: float) -> "SynthesisConfig":
@@ -190,7 +141,6 @@ def _synthesize_rules(
         constants=config.constants,
         deadline=deadline,
         op_allowlist=config.op_allowlist,
-        jobs=config.enumeration_jobs,
         perf=perf,
     )
     stage_times["enumerate"] = time.monotonic() - t0
@@ -201,7 +151,6 @@ def _synthesize_rules(
             n_representatives=enumeration.n_representatives,
             n_pairs=len(enumeration.pairs),
             aborted=enumeration.aborted,
-            shards=perf.enumeration_shards,
             size_times={
                 str(k): v for k, v in sorted(perf.per_size_times.items())
             },
@@ -223,68 +172,36 @@ def _synthesize_rules(
             n_candidates=len(candidates),
         )
 
-    # 3. Verify soundness (exact where possible, fuzz otherwise).
-    # Candidates are independent, so verification fans out across
-    # processes in deadline-checked chunks; results are consumed in
-    # candidate order, so the verified rule list is identical to the
-    # serial path's (the pool degrades to serial when unavailable or
-    # when the candidate set is too small to amortize it).
-    # Imported here: repro.bench's package init reaches back into this
-    # module through the framework (benchmark convenience re-exports),
-    # so a top-level import would be circular.
-    from repro.bench.parallel import parallel_map, parallel_workers
-
+    # 3. Verify soundness (exact where possible, fuzz otherwise), in
+    # candidate order, checking the deadline before each candidate.
+    # Checks with one signature share a sample grid through one cache.
     t0 = time.monotonic()
     verified: list[Rewrite] = []
     n_unsound = 0
     aborted = enumeration.aborted
-    verify_task = _VerifyTask(
-        spec, config.n_verify_samples, config.verify_seed
-    )
-    grids = GridCache(spec.interpreter())  # for chunks run in process
-    workers = parallel_workers()
-    if workers > 1 and len(candidates) >= _PARALLEL_VERIFY_MIN:
-        # With no deadline, one fan-out covers everything; under a
-        # deadline, chunks keep the abort granularity reasonable.
-        chunk = len(candidates) if deadline is None else 8 * workers
-    else:
-        chunk = 1  # serial, with per-candidate deadline checks
-    index = 0
-    while index < len(candidates):
+    grids = GridCache(spec.interpreter())
+    for rule in candidates:
         if deadline is not None and time.monotonic() > deadline:
             aborted = True
             break
-        batch = candidates[index:index + chunk]
-        if chunk == 1:
-            per_worker = len(batch)
+        if verify_rule(
+            rule.lhs,
+            rule.rhs,
+            spec,
+            n_samples=config.n_verify_samples,
+            seed=config.verify_seed,
+            perf=perf,
+            grids=grids,
+        ).ok:
+            verified.append(rule)
         else:
-            per_worker = max(1, (len(batch) + workers - 1) // workers)
-        pieces = [
-            tuple(batch[i:i + per_worker])
-            for i in range(0, len(batch), per_worker)
-        ]
-        results = (
-            [verify_task(pieces[0], grids)]
-            if len(pieces) == 1
-            else parallel_map(verify_task, pieces, max_workers=workers)
-        )
-        outcomes = []
-        for oks, chunk_perf in results:
-            outcomes.extend(oks)
-            merge_counters(perf, chunk_perf)
-        for rule, ok in zip(batch, outcomes):
-            if ok:
-                verified.append(rule)
-            else:
-                n_unsound += 1
-        index += chunk
+            n_unsound += 1
     grids.clear()  # the stage's rows are dead weight from here on
     stage_times["verify"] = time.monotonic() - t0
     if tracer.enabled:
         tracer.record(
             "synthesize.verify", stage_times["verify"],
             n_verified=len(verified), n_unsound=n_unsound,
-            parallel_workers=workers if chunk > 1 else 1,
             batched_terms=perf.verify_batched_terms,
             legacy_terms=perf.verify_legacy_terms,
         )

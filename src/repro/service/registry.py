@@ -14,10 +14,10 @@ directory holding
 - ``results/<key>.json`` — the content-addressed result cache, one
   finished compile answer per :func:`~repro.service.protocol.result_key`.
 
-Both layers share the repo-wide corrupt-entry policy
-(:func:`~repro.core.artifact.corrupt_entry_miss`): a truncated or
-garbled file is a tracer-logged miss with a clean rebuild, never an
-exception — a damaged registry must not take down a serve loop.
+Both layers share one corrupt-entry policy (:func:`corrupt_entry_miss`):
+a truncated or garbled file is a tracer-logged miss with a clean
+rebuild, never an exception — a damaged registry must not take down a
+serve loop.
 
 The registry resolves ISA *names* to executable specs through a
 table of spec factories (:data:`KNOWN_SPECS` plus any passed to the
@@ -36,8 +36,6 @@ from pathlib import Path
 from repro.core.artifact import (
     ArtifactError,
     CompilerArtifact,
-    corrupt_entry_miss,
-    default_cache_dir,
     spec_semantics_hash,
     write_atomic,
 )
@@ -77,16 +75,26 @@ KNOWN_SPECS = {
 
 
 def service_cache_dir() -> Path:
-    """The registry root (``REPRO_SERVICE_CACHE`` overrides).
-
-    Defaults to the ``service/`` subdirectory of the artifact cache
-    (:func:`~repro.core.artifact.default_cache_dir`), so the service's
-    state lives next to the offline products it serves.
-    """
+    """The registry root: ``~/.cache/repro-isaria/service``, unless
+    ``REPRO_SERVICE_CACHE`` names another directory."""
     env = os.environ.get("REPRO_SERVICE_CACHE", "").strip()
     if env:
         return Path(env)
-    return default_cache_dir() / "service"
+    return Path.home() / ".cache" / "repro-isaria" / "service"
+
+
+def corrupt_entry_miss(path, error) -> None:
+    """Record a corrupt or truncated registry entry as a **miss**.
+
+    The bad entry is reported through the tracer as
+    ``registry.corrupt`` (carrying the file path and the parse error)
+    and the caller rebuilds the value cleanly, overwriting the entry —
+    a corrupt file must never surface as an exception or a wrong
+    answer.
+    """
+    current_tracer().record(
+        "registry.corrupt", 0.0, path=str(path), error=str(error)
+    )
 
 
 class RegistryEntry:
@@ -204,7 +212,7 @@ class ArtifactRegistry:
             try:
                 artifact = CompilerArtifact.load(path)
             except ArtifactError as exc:
-                corrupt_entry_miss("registry", path, exc)
+                corrupt_entry_miss(path, exc)
                 continue
             if artifact.spec_hash != want:
                 continue
@@ -314,7 +322,7 @@ class ArtifactRegistry:
             if not isinstance(payload, dict):
                 raise ValueError("result payload is not an object")
         except ValueError as exc:
-            corrupt_entry_miss("registry", path, exc)
+            corrupt_entry_miss(path, exc)
             return None
         return payload
 

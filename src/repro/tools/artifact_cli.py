@@ -3,7 +3,9 @@
 The command-line face of the offline↔online split (paper §5.3).
 ``build`` runs the offline stage once and writes a
 :class:`~repro.core.artifact.CompilerArtifact` file; ``inspect``
-prints its provenance; ``compile`` loads it and drives the online
+prints its provenance; ``compile`` loads it, resolves its ISA by name
+among the service's known specs
+(:data:`~repro.service.registry.KNOWN_SPECS`), and drives the online
 pass pipeline over kernels from the bundled suite — without ever
 re-running rule synthesis or phase assignment.
 
@@ -165,17 +167,29 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.compiler.pipeline import compile_many
-    from repro.core.artifact import CompilerArtifact
+    from repro.core.artifact import ArtifactError, CompilerArtifact
     from repro.core.framework import GeneratedCompiler
-    from repro.isa import fusion_g3_spec
     from repro.kernels import default_suite
+    from repro.service.registry import KNOWN_SPECS
 
     artifact = CompilerArtifact.load(args.artifact)
-    spec = fusion_g3_spec()
+    make_spec = KNOWN_SPECS.get(artifact.isa_name)
+    if make_spec is None:
+        print(
+            f"compile: artifact is for unknown ISA {artifact.isa_name!r} "
+            f"(known: {', '.join(sorted(KNOWN_SPECS))})",
+            file=sys.stderr,
+        )
+        return 2
+    spec = make_spec()
     options = _quick_options() if args.quick else None
-    compiler = GeneratedCompiler.from_artifact(
-        artifact, spec, options=options
-    )
+    try:
+        compiler = GeneratedCompiler.from_artifact(
+            artifact, spec, options=options
+        )
+    except ArtifactError as exc:
+        print(f"compile: {exc}", file=sys.stderr)
+        return 2
 
     suite = default_suite(spec=spec)
     if args.kernel:

@@ -86,7 +86,7 @@ def oracle_enumerate_terms(
     constants: tuple = (0, 1),
 ) -> EnumerationResult:
     """``enumerate_terms`` with one tree interpretation per environment
-    per candidate, in-process (never sharded) and without a deadline."""
+    per candidate and without a deadline."""
     interpreter = spec.interpreter()
     ops = sorted(spec.instructions, key=lambda i: i.name)
     result = EnumerationResult()

@@ -1,4 +1,4 @@
-"""CompilerArtifact: round-trips, semantics fingerprints, cache misses."""
+"""CompilerArtifact: round-trips, semantics fingerprints, registry misses."""
 
 import dataclasses
 import json
@@ -11,12 +11,9 @@ from repro.compiler.diospyros import diospyros_rules
 from repro.core.artifact import (
     ArtifactError,
     CompilerArtifact,
-    artifact_cache_path,
     artifact_fingerprint,
-    load_cached_artifact,
     spec_fingerprint,
     spec_semantics_hash,
-    store_artifact,
 )
 from repro.core.framework import GeneratedCompiler
 from repro.egraph.runner import RunnerLimits
@@ -26,6 +23,7 @@ from repro.obs import ListSink, Tracer, use_tracer
 from repro.phases.assign import PhaseParams, assign_phases, default_params
 from repro.phases.cost import CostModel
 from repro.ruler import SynthesisConfig
+from repro.service import ArtifactRegistry
 
 
 def fast_compile_options() -> CompileOptions:
@@ -107,24 +105,13 @@ class TestSemanticsFingerprint:
         )
 
     def test_lane_function_edit_misses_artifact_cache(self, spec, tmp_path):
+        # The registry, where published artifacts live, finds them by
+        # probed semantics.
         config = SynthesisConfig(max_term_size=3)
-        compiler = _handmade_compiler(spec)
-        store_artifact(
-            compiler.to_artifact(config=config), spec, config,
-            cache_dir=tmp_path,
-        )
-        params = compiler.ruleset.params
-        assert (
-            load_cached_artifact(spec, config, params, cache_dir=tmp_path)
-            is not None
-        )
-        mutated = _mutate_lane_fn(spec, "+")
-        assert (
-            load_cached_artifact(
-                mutated, config, params, cache_dir=tmp_path
-            )
-            is None
-        )
+        registry = ArtifactRegistry(tmp_path)
+        registry.publish(_handmade_compiler(spec).to_artifact(config=config))
+        assert registry.find_artifact(spec) is not None
+        assert registry.find_artifact(_mutate_lane_fn(spec, "+")) is None
 
     def test_phase_params_are_part_of_the_key(self, spec):
         config = SynthesisConfig(max_term_size=3)
@@ -135,62 +122,36 @@ class TestSemanticsFingerprint:
 
 class TestCorruptCacheIsAMiss:
     def test_corrupt_json_is_a_miss_not_a_crash(self, spec, tmp_path):
-        config = SynthesisConfig(max_term_size=3)
-        params = default_params(spec)
-        path = artifact_cache_path(spec, config, params,
-                                   cache_dir=tmp_path)
+        registry = ArtifactRegistry(tmp_path)
+        path = registry.artifact_path(
+            artifact_fingerprint(
+                spec, SynthesisConfig(max_term_size=3), default_params(spec)
+            )
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{ this is not json")
         sink = ListSink()
         with use_tracer(Tracer(sink)):
-            assert (
-                load_cached_artifact(
-                    spec, config, params, cache_dir=tmp_path
-                )
-                is None
-            )
-        corrupt = sink.by_name("artifact_cache.corrupt")
+            assert registry.find_artifact(spec) is None
+        corrupt = sink.by_name("registry.corrupt")
         assert len(corrupt) == 1
         assert corrupt[0]["attrs"]["path"] == str(path)
         assert corrupt[0]["attrs"]["error"]
 
     def test_truncated_artifact_is_a_miss(self, spec, tmp_path):
-        config = SynthesisConfig(max_term_size=3)
-        compiler = _handmade_compiler(spec)
-        path = store_artifact(
-            compiler.to_artifact(config=config), spec, config,
-            cache_dir=tmp_path,
-        )
+        registry = ArtifactRegistry(tmp_path)
+        path = registry.publish(_handmade_compiler(spec).to_artifact())
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        assert (
-            load_cached_artifact(
-                spec, config, compiler.ruleset.params, cache_dir=tmp_path
-            )
-            is None
-        )
+        sink = ListSink()
+        with use_tracer(Tracer(sink)):
+            assert registry.find_artifact(spec) is None
+        assert len(sink.by_name("registry.corrupt")) == 1
 
     def test_wrong_kind_rejected_loudly_on_direct_load(self, tmp_path):
         path = tmp_path / "not-an-artifact.json"
         path.write_text(json.dumps({"kind": "something-else"}))
         with pytest.raises(ArtifactError):
             CompilerArtifact.load(path)
-
-    def test_framework_rebuilds_over_corrupt_cache(
-        self, spec, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_RULE_CACHE", str(tmp_path))
-        from repro.core import IsariaFramework
-
-        config = SynthesisConfig(max_term_size=3)
-        framework = IsariaFramework(spec, synthesis_config=config)
-        path = artifact_cache_path(spec, config, framework.phase_params,
-                                   cache_dir=tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"kind": "repro-compiler-artifact", trunca')
-        compiler = framework.generate_compiler(cache=True)
-        assert compiler.synthesis is not None  # miss → rebuilt
-        # ... and the bad entry was overwritten with a loadable one.
-        assert CompilerArtifact.load(path).ruleset.counts()
 
 
 class TestAtomicWrites:
@@ -210,13 +171,10 @@ class TestAtomicWrites:
     def test_crashed_save_leaves_the_previous_artifact(
         self, spec, tmp_path, monkeypatch
     ):
-        config = SynthesisConfig(max_term_size=3)
-        artifact = _handmade_compiler(spec).to_artifact(config=config)
-        path = store_artifact(artifact, spec, config, cache_dir=tmp_path)
+        artifact = _handmade_compiler(spec).to_artifact()
+        path = artifact.save(tmp_path / "artifact.json")
         before = path.read_text()
         self._crash_mid_write(monkeypatch)
-        with pytest.raises(OSError, match="mid-write"):
-            store_artifact(artifact, spec, config, cache_dir=tmp_path)
         with pytest.raises(OSError, match="mid-write"):
             artifact.save(path)
         assert path.read_text() == before
@@ -224,8 +182,6 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_registry_writes_are_atomic(self, spec, tmp_path, monkeypatch):
-        from repro.service import ArtifactRegistry
-
         registry = ArtifactRegistry(tmp_path)
         artifact = _handmade_compiler(spec).to_artifact()
         published = registry.publish(artifact)
@@ -327,47 +283,41 @@ class TestLoadedCompilerSkipsOfflineStage:
     def test_from_artifact_never_synthesizes_or_assigns(
         self, spec, tmp_path, monkeypatch
     ):
-        """The acceptance criterion, via call counting."""
+        """The acceptance criterion, via call counting: neither a saved
+        file nor a registry lookup runs the offline stage."""
         config = SynthesisConfig(max_term_size=3)
         compiler = _handmade_compiler(spec)
-        store_artifact(
-            compiler.to_artifact(config=config), spec, config,
-            cache_dir=tmp_path,
-        )
+        artifact = compiler.to_artifact(config=config)
+        path = artifact.save(tmp_path / "artifact.json")
+        registry = ArtifactRegistry(tmp_path / "registry")
+        registry.publish(artifact)
 
         calls = {"synthesize": 0, "assign": 0}
         import repro.core.framework as framework_mod
+        import repro.core.pregen as pregen_mod
 
         def counting_synthesize(*args, **kwargs):
             calls["synthesize"] += 1
-            raise AssertionError("synthesize_rules ran on a cache hit")
+            raise AssertionError("synthesize_rules ran on an artifact load")
 
         def counting_assign(*args, **kwargs):
             calls["assign"] += 1
-            raise AssertionError("assign_phases ran on a cache hit")
+            raise AssertionError("assign_phases ran on an artifact load")
 
         monkeypatch.setattr(
             framework_mod, "synthesize_rules", counting_synthesize
         )
-        monkeypatch.setattr(framework_mod, "assign_phases", counting_assign)
+        for module in (framework_mod, pregen_mod):
+            monkeypatch.setattr(module, "assign_phases", counting_assign)
 
-        artifact = load_cached_artifact(
-            spec, config, compiler.ruleset.params, cache_dir=tmp_path
+        loaded = GeneratedCompiler.from_artifact(
+            CompilerArtifact.load(path), spec
         )
-        loaded = GeneratedCompiler.from_artifact(artifact, spec)
         assert calls == {"synthesize": 0, "assign": 0}
 
-        monkeypatch.setenv("REPRO_RULE_CACHE", str(tmp_path))
-        from repro.core import IsariaFramework
-
-        framework = IsariaFramework(
-            spec,
-            synthesis_config=config,
-            phase_params=compiler.ruleset.params,
-        )
-        via_framework = framework.generate_compiler(cache=True)
+        via_registry = registry.compiler_for(spec.name)
         assert calls == {"synthesize": 0, "assign": 0}
-        assert len(via_framework.ruleset) == len(loaded.ruleset)
+        assert len(via_registry.ruleset) == len(loaded.ruleset)
 
         # The loaded compiler actually works.
         from repro.compiler.frontend import trace_kernel
@@ -488,8 +438,6 @@ class TestFormatVersions:
 
     def test_registry_rebuilds_over_a_scheduled_artifact(self, tmp_path):
         from test_service import _quick_options, _vadd
-
-        from repro.service.registry import ArtifactRegistry
 
         root = tmp_path / "registry"
         first = ArtifactRegistry(root).entry_for("fusion-g3")

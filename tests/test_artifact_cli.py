@@ -1,5 +1,7 @@
 """The repro-artifact CLI: build, inspect, compile."""
 
+import json
+
 import pytest
 
 from repro.core.pregen import DEFAULT_RULES_FILE
@@ -53,6 +55,39 @@ class TestCompile:
         assert "matmul-2x2-2x2" in out
         assert "saturate=" in out  # per-pass timings in the table
         assert "1 kernels" in out
+
+    def test_compile_uses_the_artifacts_isa(
+        self, family_compilers, tmp_path, capsys
+    ):
+        path = family_compilers("masked", 4).to_artifact().save(
+            tmp_path / "masked-w4.json"
+        )
+        code = main([
+            "compile", str(path),
+            "--kernel", "matmul-2x2x2",
+            "--quick", "--no-validate",
+        ])
+        assert code == 0
+        assert "1 kernels" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("name", "no-such-isa", "unknown ISA 'no-such-isa'"),
+        ("spec_hash", "0" * 16, "different ISA semantics than 'fusion-g3'"),
+    ])
+    def test_unresolvable_isa_is_a_one_line_error(
+        self, artifact_file, tmp_path, capsys, field, value, message
+    ):
+        doc = json.loads(artifact_file.read_text())
+        doc["isa"][field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code = main([
+            "compile", str(path), "--kernel", "matmul-2x2x2", "--quick",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_kernel_is_an_error(self, artifact_file, capsys):
         code = main([

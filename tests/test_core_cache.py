@@ -1,4 +1,4 @@
-"""Unit tests for rule serialization, caching, and pregen loading."""
+"""Unit tests for rule serialization, fingerprints, and pregen loading."""
 
 import pytest
 
@@ -59,22 +59,6 @@ class TestFingerprint:
         assert spec_fingerprint(spec, config) != spec_fingerprint(
             custom, config
         )
-
-
-class TestDiskCache:
-    def test_framework_cache_roundtrip(self, spec, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RULE_CACHE", str(tmp_path))
-        from repro.core import IsariaFramework
-        from repro.ruler import SynthesisConfig as SC
-
-        framework = IsariaFramework(
-            spec, synthesis_config=SC(max_term_size=3)
-        )
-        first = framework.generate_compiler(cache=True)
-        assert list(tmp_path.glob("artifact-*.json"))
-        second = framework.generate_compiler(cache=True)
-        assert second.synthesis is None  # came from cache
-        assert len(second.ruleset) == len(first.ruleset)
 
 
 class TestPregenerated:

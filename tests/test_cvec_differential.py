@@ -4,12 +4,11 @@ The batched :class:`CvecEvaluator` must fingerprint every term exactly
 as one tree interpretation per environment does (``tests/cvec_oracle.py``)
 — including UNDEFINED propagation through division by zero and the
 float rounding that sqrt introduces — and the enumeration built on top
-of it must produce identical pools, pairs, and synthesized rules,
-sharded or not.  Verification must reach the verdicts of the
-per-environment fuzz loop (``tests/generalize_oracle.py``).
+of it must produce identical pools, pairs, and synthesized rules.
+Verification must reach the verdicts of the per-environment fuzz loop
+(``tests/generalize_oracle.py``).
 """
 
-import pickle
 import random
 
 import pytest
@@ -33,7 +32,6 @@ from repro.ruler.cvec import CvecEvaluator, CvecSpec, GridCache
 from repro.ruler.enumerate import enumerate_terms
 from repro.ruler.lanes import generalize_rules
 from repro.ruler.stats import SynthesisPerf
-from repro.ruler.synthesize import SynthesisConfig, _VerifyTask
 from repro.ruler.verify import verify_rule, verify_rules, verify_vector_rule
 
 
@@ -134,7 +132,7 @@ class TestFingerprintParity:
 def _assert_enumeration_matches_oracle(spec, max_size):
     grid = CvecSpec.make(("a", "b"), n_random=8, seed=0)
     oracle = oracle_enumerate_terms(spec, grid, max_size=max_size)
-    batched = enumerate_terms(spec, grid, max_size=max_size, jobs=1)
+    batched = enumerate_terms(spec, grid, max_size=max_size)
     assert batched.representatives == oracle.representatives
     assert batched.pairs == oracle.pairs
     assert batched.n_enumerated == oracle.n_enumerated
@@ -152,29 +150,6 @@ class TestEnumerationParity:
         # size-3 pool terms feed new candidates.
         result = _assert_enumeration_matches_oracle(spec, max_size=4)
         assert result.perf.per_size_new[4] > 0
-
-    def test_sharded_matches_serial(self, spec, monkeypatch):
-        # jobs=2 + REPRO_PARALLEL=2 force the shard/merge path even on
-        # one CPU; parallel_map's fallback keeps it exercised when
-        # process pools are unavailable.
-        grid = CvecSpec.make(("a", "b"), n_random=8, seed=0)
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
-        sharded = enumerate_terms(spec, grid, max_size=3, jobs=2)
-        assert sharded.perf.enumeration_shards > 0
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        serial = enumerate_terms(spec, grid, max_size=3)
-        assert sharded.representatives == serial.representatives
-        # Pair ordering may interleave differently across shards; the
-        # pair *set* (what candidate_rules consumes, which sorts) and
-        # every count are identical.
-        assert sorted(sharded.pairs, key=str) == sorted(
-            serial.pairs, key=str
-        )
-        assert sharded.n_enumerated == serial.n_enumerated
-        assert (
-            sharded.perf.interned_fingerprints
-            == serial.perf.interned_fingerprints
-        )
 
 
 class TestVerifyParity:
@@ -354,65 +329,3 @@ class TestVerifyParity:
 
 def _rule_rows(rules):
     return [(rule.name, rule.lhs, rule.rhs) for rule in rules]
-
-
-class TestVerifyStageSharing:
-    _UNSOUND = [
-        ("(- ?a ?b)", "(+ ?a ?b)"),
-        ("(/ (* ?a ?b) ?b)", "?a"),
-        ("(sqrt (* ?a ?a))", "?a"),
-    ]
-
-    def test_serial_and_parallel_stages_agree(self, spec, monkeypatch):
-        # Enough candidates (> the 64-candidate fan-out floor) for the
-        # verify stage to fan out under REPRO_PARALLEL=2; the cvec
-        # filter passes no unsound pair on this grid, so three are
-        # appended to exercise rejection on both paths.
-        from repro.ruler import synthesize as synth
-
-        real = synth.candidate_rules
-
-        def with_unsound(pairs):
-            return real(pairs) + [
-                Rewrite(f"unsound-{i}", parse(lhs), parse(rhs))
-                for i, (lhs, rhs) in enumerate(self._UNSOUND)
-            ]
-
-        monkeypatch.setattr(synth, "candidate_rules", with_unsound)
-        config = SynthesisConfig(
-            max_term_size=3, variables=("a", "b"), n_cvec_random=8,
-            n_verify_samples=16, minimize=False, cost_prune=False,
-        )
-        results = {}
-        for workers in ("0", "2"):
-            monkeypatch.setenv("REPRO_PARALLEL", workers)
-            results[workers] = synth.synthesize_rules(spec, config)
-        serial, parallel = results["0"], results["2"]
-        assert serial.n_candidates >= synth._PARALLEL_VERIFY_MIN
-        assert _rule_rows(serial.rules) == _rule_rows(parallel.rules)
-        assert serial.single_lane_rules == parallel.single_lane_rules
-        assert serial.n_unsound == parallel.n_unsound == len(self._UNSOUND)
-        assert serial.n_verified == parallel.n_verified
-        for counter in ("verify_batched_terms", "verify_legacy_terms"):
-            assert getattr(serial.perf, counter) == getattr(
-                parallel.perf, counter
-            )
-
-    def test_verify_task_pickles_after_serial_calls(self, spec):
-        task = _VerifyTask(spec, 16, 12345)
-        fresh = pickle.dumps(task)
-        grids = GridCache(spec.interpreter())
-        rules = tuple(
-            Rewrite(f"r{i}", parse(lhs), parse(rhs))
-            for i, (lhs, rhs) in enumerate(
-                self._UNSOUND + [("(sgn (sgn ?a))", "(sgn ?a)")]
-            )
-        )
-        oks, _ = task(rules, grids)
-        assert oks == [False, False, False, True]
-        assert len(grids) > 0
-        # The shared cache lives with the caller, never on the task:
-        # the task pickles to the same bytes as before it served.
-        assert pickle.dumps(task) == fresh
-        clone = pickle.loads(fresh)
-        assert clone(rules)[0] == oks

@@ -50,7 +50,6 @@ def test_known_flags_present():
     for flag in (
         "REPRO_TRACE",
         "REPRO_PARALLEL",
-        "REPRO_RULE_CACHE",
         "REPRO_SERVICE_PORT",
         "REPRO_SERVICE_WORKERS",
         "REPRO_SERVICE_CACHE",

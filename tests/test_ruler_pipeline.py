@@ -1,6 +1,8 @@
 """Unit tests for candidates, minimization, lane generalization, and
 the synthesis pipeline end-to-end."""
 
+from types import SimpleNamespace
+
 from repro.egraph.rewrite import Rewrite, parse_rewrite
 from repro.lang.parser import parse, to_sexpr
 from repro.ruler import (
@@ -234,6 +236,73 @@ class TestSynthesisPipeline:
             spec, SynthesisConfig(max_term_size=6, time_budget=0.5)
         )
         assert res.aborted
+
+    def test_verify_deadline_checked_per_candidate(self, spec, monkeypatch):
+        """The verify stage checks its deadline before every candidate:
+        a clock that passes the deadline after ``k`` checks stops the
+        stage right there, keeping exactly the sound rules among the
+        first ``k`` candidates, in candidate order."""
+        from repro.ruler import synthesize as synth
+
+        k = 21
+        unsound = [
+            Rewrite(f"unsound-{i}", parse(lhs), parse(rhs))
+            for i, (lhs, rhs) in enumerate([
+                ("(- ?a ?b)", "(+ ?a ?b)"),
+                ("(/ (* ?a ?b) ?b)", "?a"),
+                ("(sqrt (* ?a ?a))", "?a"),
+            ])
+        ]
+        seen = {}
+        real_candidates = synth.candidate_rules
+
+        def with_unsound(pairs):
+            # The cvec filter passes no unsound pair on this grid, so
+            # three are spread over the first k candidates.
+            rules = real_candidates(pairs)
+            for index, rule in zip((0, 7, 14), unsound):
+                rules.insert(index, rule)
+            seen["candidates"] = rules
+            return rules
+
+        real_verify = synth.verify_rule
+        calls = []
+
+        def counting_verify(*args, **kwargs):
+            calls.append(args[:2])
+            return real_verify(*args, **kwargs)
+
+        # synthesize's own clock jumps a million seconds after the
+        # k-th check; every other module keeps the real clock, which
+        # never reaches the hour-long budget.
+        real_time = synth.time
+        monkeypatch.setattr(synth, "time", SimpleNamespace(
+            monotonic=lambda: real_time.monotonic()
+            + (1e6 if len(calls) >= k else 0.0)
+        ))
+        monkeypatch.setattr(synth, "candidate_rules", with_unsound)
+        monkeypatch.setattr(synth, "verify_rule", counting_verify)
+        config = SynthesisConfig(
+            max_term_size=3, variables=("a", "b"), n_cvec_random=8,
+            n_verify_samples=16, minimize=False, cost_prune=False,
+            time_budget=3600.0,
+        )
+        result = synth.synthesize_rules(spec, config)
+
+        candidates = seen["candidates"]
+        assert result.n_candidates == len(candidates) > k
+        assert result.aborted
+        assert len(calls) == k
+        assert result.n_verified + result.n_unsound == k
+        assert result.n_unsound >= len(unsound)
+        expected = [
+            rule for rule in candidates[:k]
+            if real_verify(
+                rule.lhs, rule.rhs, spec,
+                n_samples=config.n_verify_samples, seed=config.verify_seed,
+            ).ok
+        ]
+        assert result.single_lane_rules == expected
 
     def test_budgeted_config_tiers(self):
         assert SynthesisConfig.budgeted(1).max_term_size == 3

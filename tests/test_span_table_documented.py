@@ -1,12 +1,13 @@
-"""Every span name emitted in ``src/`` is in the span table.
+"""The span table and the spans emitted in ``src/`` name the same spans.
 
 The doc contract: the "Span names and payloads" table of
 ``docs/observability.md`` is the legend of the trace report's
 per-phase rollup, which prints whatever spans a trace holds.  This
 test collects the span names passed as string literals to
 ``.span(...)`` and ``.record(...)`` under ``src/``, so emitting a new
-span without documenting it fails CI.  Names built at run time
-(``pass.<name>``, ``<layer>.corrupt``) are documented by hand.
+span without documenting it fails CI, and so does a row whose span
+nothing emits any more.  The one name built at run time,
+``pass.<name>``, is a pattern row documented by hand.
 """
 
 import re
@@ -17,6 +18,9 @@ OBSERVABILITY_DOC = ROOT / "docs" / "observability.md"
 
 _EMIT = re.compile(r"\.(?:span|record)\(\s*\"([^\"]+)\"")
 _CODE = re.compile(r"`([^`]+)`")
+
+#: Rows naming spans built at run time, which no string literal emits.
+_PATTERN_ROWS = {"pass.<name>"}
 
 
 def _emitted_names() -> set[str]:
@@ -41,6 +45,19 @@ def test_every_emitted_span_is_in_the_table():
     assert not missing, (
         "spans emitted in src/ but missing from the span table of "
         f"docs/observability.md: {sorted(missing)}"
+    )
+
+
+def test_no_stale_documented_spans():
+    """Every row of the span table is still emitted in ``src/``.
+
+    The reverse sweep: a span removed from the code must leave the
+    table too, so the legend can't accumulate dead rows.
+    """
+    stale = _documented_names() - _emitted_names() - _PATTERN_ROWS
+    assert not stale, (
+        "spans in the span table of docs/observability.md that no "
+        f"string literal in src/ emits: {sorted(stale)}"
     )
 
 

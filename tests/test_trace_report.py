@@ -249,7 +249,7 @@ def _synthesis_events():
          "attrs": {"n_rules": 42}},
         {"name": "synthesize.enumerate", "id": 1, "parent": 0,
          "ts": 1.0, "dur": 1.5,
-         "attrs": {"shards": 4,
+         "attrs": {"n_pairs": 4,
                    "size_times": {"1": 0.001, "2": 0.01, "3": 0.4},
                    "size_terms": {"1": 5, "2": 30, "3": 260},
                    "size_new": {"1": 5, "2": 10, "3": 58}}},
@@ -272,7 +272,7 @@ class TestSynthesisRollup:
         assert _attr(out, enum, "size_times") == "1=0.001 2=0.01 3=0.4"
         assert _attr(out, enum, "size_terms") == "1=5 2=30 3=260"
         assert _attr(out, enum, "size_new") == "1=5 2=10 3=58"
-        assert _attr(out, enum, "shards") == "total 4  max 4"
+        assert _attr(out, enum, "n_pairs") == "total 4  max 4"
         verify = "synthesize.verify"
         assert _attr(out, verify, "batched_terms") == "total 160  max 160"
         assert _attr(out, verify, "legacy_terms") == "total 2  max 2"
@@ -306,7 +306,7 @@ class TestSynthesisRollup:
         monkeypatch.delenv("REPRO_TRACE")
         rows = rollup(load_events(path))
         enum = rows["synthesize.enumerate"]["attrs"]
-        assert "shards" in enum
+        assert "n_representatives" in enum
         assert "batched_terms" in rows["synthesize.verify"]["attrs"]
         # Sizes 1 and 2 both enumerated something.
         sizes = enum["size_terms"]["sums"]
